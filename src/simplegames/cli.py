@@ -20,6 +20,8 @@ from pathlib import Path
 
 from .codes import Code, bounds_report, full_cover, greedy_cover
 from .core import (
+    MAX_PLAYERS,
+    MAX_WEIGHT,
     Coalition,
     Decomposition,
     SimpleGame,
@@ -27,12 +29,7 @@ from .core import (
     is_winning,
     validate_game,
 )
-from .decompose import (
-    decompose_covering,
-    decompose_pairing,
-    pair_partition,
-    taylor_zwicker,
-)
+from .decompose import decompose_covering, decompose_pairing, taylor_zwicker
 from .errors import GameError
 from .verify import verify_decomposition
 
@@ -57,23 +54,31 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _player_count(data: dict, path: str) -> int:
     n = data.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"{path}: field 'n' must be an integer")
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"{path}: field 'n' must be in 1..{MAX_PLAYERS}, got {n}")
     return n
 
 
-def _coalition_list(data: dict, key: str, path: str) -> list[Coalition]:
+def _coalition_list(data: dict, key: str, path: str, n: int) -> list[Coalition]:
     raw = data.get(key)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: field '{key}' must be a list of player lists")
     out = []
     for entry in raw:
+        # Range-checked before any mask is built: a huge player number
+        # would make a huge mask.
         if not isinstance(entry, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in entry
+            _is_int(p) and 1 <= p <= n for p in entry
         ):
-            raise ValueError(f"{path}: '{key}' entries must be lists of integers")
+            raise ValueError(f"{path}: '{key}' entries must be lists of players 1..{n}")
         out.append(Coalition.from_players(entry))
     return out
 
@@ -81,7 +86,7 @@ def _coalition_list(data: dict, key: str, path: str) -> list[Coalition]:
 def load_game(path: str) -> SimpleGame:
     data = _load_json(path)
     n = _player_count(data, path)
-    return validate_game(n, _coalition_list(data, "maximal_losing", path))
+    return validate_game(n, _coalition_list(data, "maximal_losing", path, n))
 
 
 def save_game(game: SimpleGame, path: str) -> None:
@@ -95,7 +100,7 @@ def save_game(game: SimpleGame, path: str) -> None:
 def load_code(path: str) -> Code:
     data = _load_json(path)
     n = _player_count(data, path)
-    return Code(n, tuple(_coalition_list(data, "centers", path)))
+    return Code(n, tuple(_coalition_list(data, "centers", path, n)))
 
 
 def save_code(code: Code, path: str) -> None:
@@ -117,10 +122,13 @@ def load_decomposition(path: str) -> Decomposition:
             raise ValueError(f"{path}: each part must be an object")
         quota = entry.get("quota")
         weights = entry.get("weights")
-        if not isinstance(quota, int) or isinstance(quota, bool):
-            raise ValueError(f"{path}: part quota must be an integer")
         if not isinstance(weights, list) or len(weights) != n:
             raise ValueError(f"{path}: each part needs exactly {n} weights")
+        # verify sums these in int64; MAX_WEIGHT keeps every sum exact.
+        if not all(_is_int(v) and 0 <= v <= MAX_WEIGHT for v in [quota, *weights]):
+            raise ValueError(
+                f"{path}: part quotas and weights must be integers in 0..{MAX_WEIGHT}"
+            )
         parts.append(WeightedGame(quota, tuple(weights)))
     return Decomposition(n, tuple(parts))
 
@@ -161,10 +169,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         dec = decompose_covering(game, code)
         bound, note = len(code), "cover size"
     else:
-        plan = pair_partition(game)
         dec = decompose_pairing(game)
-        bound = len(plan.pairs) + len(plan.singletons)
-        note = "pairs plus singletons"
+        bound, note = len(dec.parts), "pairs plus singletons"
     report = verify_decomposition(game, dec)
     if not report.equivalent:
         print(

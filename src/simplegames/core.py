@@ -23,6 +23,10 @@ from .errors import (
 # Single knob for every exhaustive 2**n scan in the package.
 MAX_PLAYERS = 24
 
+# Largest weight or quota a decomposition file may hold.  MAX_PLAYERS of
+# them sum to less than 2**63, so verify's int64 subset sums are exact.
+MAX_WEIGHT = 1 << 58
+
 
 @dataclass(frozen=True, order=True)
 class Coalition:
@@ -52,9 +56,13 @@ class Coalition:
     @property
     def players(self) -> tuple[int, ...]:
         """Members as ascending 1-based player numbers."""
-        return tuple(
-            i + 1 for i in range(self.mask.bit_length()) if self.mask >> i & 1
-        )
+        out = []
+        rest = self.mask
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length())
+            rest ^= low
+        return tuple(out)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

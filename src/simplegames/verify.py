@@ -25,6 +25,10 @@ from .errors import CapExceeded, DimensionMismatch, UnbalancedTrade
 # Certificate search scans losing pairs times submasks, roughly 4**n work.
 TRADE_SEARCH_MAX_PLAYERS = 10
 
+# Half-sum cells (parts times 2**ceil(n/2)) the threshold tables hold at once;
+# larger chunks save little time and raise peak memory.
+CHUNK_CELLS = 1 << 14
+
 GameLike = Union[SimpleGame, WeightedGame, Decomposition, Callable[[Coalition], bool]]
 
 
@@ -52,31 +56,59 @@ class VerificationReport:
 
 def simple_game_table(game: SimpleGame) -> np.ndarray:
     """Winning truth table over all 2**n coalitions, indexed by mask."""
-    size = 1 << game.n
-    losing = np.zeros(size, dtype=bool)
+    losing = np.zeros(1 << game.n, dtype=bool)
     losing[[t.mask for t in game.maximal_losing]] = True
-    idx = np.arange(size)
     for i in range(game.n):
-        bit = 1 << i
-        below = idx[(idx & bit) == 0]
-        # after all passes: losing[m] iff m is a submask of a marked mask
-        losing[below] |= losing[below | bit]
+        # pairs[:, 0] holds the masks without player i + 1, pairs[:, 1] the
+        # same masks with it; after all passes losing[m] iff m is a submask
+        # of a marked mask
+        pairs = losing.reshape(-1, 2, 1 << i)
+        pairs[:, 0] |= pairs[:, 1]
     return ~losing
+
+
+def _subset_sums(weights: np.ndarray) -> np.ndarray:
+    """Row r, column m: the sum of weights[r, i] over the bits i of m."""
+    rows, count = weights.shape
+    sums = np.zeros((rows, 1 << count), dtype=np.int64)
+    for i in range(count):
+        bit = 1 << i
+        np.add(sums[:, :bit], weights[:, i : i + 1], out=sums[:, bit : 2 * bit])
+    return sums
+
+
+def _threshold_table(n: int, parts: tuple[WeightedGame, ...]) -> np.ndarray:
+    """Truth table of the intersection of weighted games, indexed by mask.
+
+    Meet in the middle: a mask is a column (its low h bits) and a row (the
+    rest), and it wins a part iff lo[column] >= quota - hi[row], with lo and
+    hi the subset sums of the part's low and high weights.  Each row of the
+    table is then one vectorised comparison per chunk of parts, for
+    parts * 2**n comparisons in all and about 2**n bytes of table plus
+    a few arrays of at most CHUNK_CELLS cells.
+    """
+    h = (n + 1) // 2
+    table = np.ones((1 << (n - h), 1 << h), dtype=bool)
+    step = max(1, CHUNK_CELLS >> h)
+    for start in range(0, len(parts), step):
+        chunk = parts[start : start + step]
+        weights = np.array([p.weights for p in chunk], dtype=np.int64)
+        quotas = np.array([[p.quota] for p in chunk], dtype=np.int64)
+        lo = _subset_sums(weights[:, :h])
+        need = quotas - _subset_sums(weights[:, h:])
+        for r, row in enumerate(table):
+            row &= (lo >= need[:, r : r + 1]).all(axis=0)
+    return table.reshape(-1)
 
 
 def weighted_game_table(wg: WeightedGame) -> np.ndarray:
     """Winning truth table of a weighted game, indexed by mask."""
-    sums = np.zeros(1, dtype=np.int64)
-    for w in wg.weights:
-        sums = np.concatenate([sums, sums + w])
-    return sums >= wg.quota
+    return _threshold_table(wg.n, (wg,))
 
 
 def decomposition_table(dec: Decomposition) -> np.ndarray:
-    table = np.ones(1 << dec.n, dtype=bool)
-    for part in dec.parts:
-        table &= weighted_game_table(part)
-    return table
+    """Winning truth table of the intersection of the parts, indexed by mask."""
+    return _threshold_table(dec.n, dec.parts)
 
 
 def verify_decomposition(game: SimpleGame, dec: Decomposition) -> VerificationReport:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,16 @@ def test_decompose_pairing(four_player_file, tmp_path, capsys):
     assert rc == EXIT_OK
     assert len(read_parts(out)) == 2
     assert "parts: 2" in capsys.readouterr().out
+
+
+def test_decompose_pairing_bound_is_pairs_plus_singletons(seven_player_file, tmp_path, capsys):
+    # {1,2,3} and {3,4,5,6} are at distance 5, so both stay singletons.
+    out = tmp_path / "dec.json"
+    rc = main(
+        ["decompose", str(seven_player_file), "--method", "pairing", "--output", str(out)]
+    )
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == "parts: 2\nbound: 2 (pairs plus singletons)\n"
 
 
 def test_decompose_covering_defaults_to_greedy(four_player_file, tmp_path):
@@ -297,6 +308,56 @@ def test_verify_rejects_inconsistent_part_count(four_player_file, tmp_path):
         )
     )
     assert main(["verify", str(four_player_file), str(dec)]) == EXIT_INPUT
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "weight",
+    ["a", 2**70, 1.5, True],
+    ids=["string", "beyond-int64", "float", "bool"],
+)
+def test_verify_rejects_non_integer_or_huge_weights(four_player_file, tmp_path, capsys, weight):
+    dec = tmp_path / "dec.json"
+    dec.write_text(
+        json.dumps(
+            {
+                "n": 4,
+                "method": "covering",
+                "part_count": 2,
+                "parts": [
+                    {"quota": 2, "weights": [1, 1, 2, 0]},
+                    {"quota": 2, "weights": [weight, 1, 0, 2]},
+                ],
+            }
+        )
+    )
+    assert main(["verify", str(four_player_file), str(dec)]) == EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
+def test_verify_rejects_huge_player_number_quickly(four_player_file, tmp_path, capsys):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"n": 3, "maximal_losing": [[10_000_000]]}))
+    start = time.perf_counter()
+    assert main(["verify", str(game), str(four_player_file)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 2
+    assert_one_error_line(capsys)
+
+
+def test_code_file_player_count_is_range_checked(four_player_file, tmp_path, capsys):
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps({"n": 10_000_000, "centers": [[10_000_000]] * 1000}))
+    out = tmp_path / "dec.json"
+    argv = ["decompose", str(four_player_file), "--method", "covering"]
+    assert main(argv + ["--cover", str(code), "--output", str(out)]) == EXIT_INPUT
+    assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- file io
