@@ -21,7 +21,6 @@ from pathlib import Path
 from .codes import Code, bounds_report, full_cover, greedy_cover
 from .core import (
     MAX_PLAYERS,
-    MAX_WEIGHT,
     Coalition,
     Decomposition,
     SimpleGame,
@@ -46,8 +45,9 @@ METHODS = ("taylor-zwicker", "covering", "pairing")
 
 def _load_json(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # Decode errors, bad UTF-8, oversized integers and deep nesting.
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -120,16 +120,10 @@ def load_decomposition(path: str) -> Decomposition:
     for entry in raw_parts:
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: each part must be an object")
-        quota = entry.get("quota")
         weights = entry.get("weights")
         if not isinstance(weights, list) or len(weights) != n:
             raise ValueError(f"{path}: each part needs exactly {n} weights")
-        # verify sums these in int64; MAX_WEIGHT keeps every sum exact.
-        if not all(_is_int(v) and 0 <= v <= MAX_WEIGHT for v in [quota, *weights]):
-            raise ValueError(
-                f"{path}: part quotas and weights must be integers in 0..{MAX_WEIGHT}"
-            )
-        parts.append(WeightedGame(quota, tuple(weights)))
+        parts.append(WeightedGame(entry.get("quota"), tuple(weights)))
     return Decomposition(n, tuple(parts))
 
 
@@ -251,12 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="simplegames",
         description="Decompose simple games into intersections of weighted games.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized tooling (current commands are deterministic)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

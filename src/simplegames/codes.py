@@ -33,12 +33,10 @@ class Code:
     centers: tuple[Coalition, ...]
 
     def __post_init__(self) -> None:
-        seen: dict[int, None] = {}
+        object.__setattr__(self, "centers", tuple(dict.fromkeys(self.centers)))
         for c in self.centers:
             if not c.fits(self.n):
                 raise PlayerOutOfRange(f"center {c} does not fit into {self.n} players")
-            seen.setdefault(c.mask)
-        object.__setattr__(self, "centers", tuple(Coalition(m) for m in seen))
         if not self.centers:
             raise ValueError("a code needs at least one center")
 

@@ -23,8 +23,8 @@ from .errors import (
 # Single knob for every exhaustive 2**n scan in the package.
 MAX_PLAYERS = 24
 
-# Largest weight or quota a decomposition file may hold.  MAX_PLAYERS of
-# them sum to less than 2**63, so verify's int64 subset sums are exact.
+# Largest weight or quota a weighted game may hold.  MAX_PLAYERS of them
+# sum to less than 2**63, so verify's int64 subset sums are exact.
 MAX_WEIGHT = 1 << 58
 
 
@@ -113,7 +113,7 @@ class SimpleGame:
 
 @dataclass(frozen=True)
 class WeightedGame:
-    """A threshold game ``[quota; w_1, ..., w_n]`` with non-negative integers.
+    """A threshold game ``[quota; w_1, ..., w_n]`` with integers in 0..MAX_WEIGHT.
 
     A coalition wins exactly when its members' total weight reaches the
     quota.
@@ -126,11 +126,11 @@ class WeightedGame:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise ValueError("a weighted game needs at least one player")
-        if self.quota < 0:
-            raise ValueError(f"quota must be non-negative, got {self.quota}")
-        for w in self.weights:
-            if w < 0:
-                raise ValueError(f"weights must be non-negative, got {w}")
+        for v in (self.quota, *self.weights):
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= MAX_WEIGHT:
+                raise ValueError(
+                    f"quota and weights must be integers in 0..{MAX_WEIGHT}"
+                )
 
     @property
     def n(self) -> int:

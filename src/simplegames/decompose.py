@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .codes import Code, greedy_cover
+from .codes import Code, _ball, greedy_cover
 from .core import (
     Coalition,
     Decomposition,
@@ -107,9 +107,16 @@ class PairingPlan:
     singletons: tuple[Coalition, ...]
 
 
-def _single_losing_game(n: int, t: Coalition) -> WeightedGame:
-    # Wins exactly when not contained in t: quota 1, unit weight outside t.
-    return WeightedGame(1, tuple(0 if p in t else 1 for p in range(1, n + 1)))
+def _tiered(n: int, quota: int, outside: int, *tiers: tuple[int, int]) -> WeightedGame:
+    """The game ``[quota; w_1, ..., w_n]`` built from (mask, weight) tiers.
+
+    Each player weighs the weight of the first tier whose mask holds it;
+    players in no tier weigh ``outside``.
+    """
+    weights = tuple(
+        next((w for mask, w in tiers if mask >> i & 1), outside) for i in range(n)
+    )
+    return WeightedGame(quota, weights)
 
 
 def taylor_zwicker(game: SimpleGame) -> Decomposition:
@@ -119,7 +126,7 @@ def taylor_zwicker(game: SimpleGame) -> Decomposition:
     players outside t, so a coalition wins the part iff it is not
     contained in t.  Parts follow the canonical coalition order.
     """
-    parts = tuple(_single_losing_game(game.n, t) for t in game.maximal_losing)
+    parts = tuple(_tiered(game.n, 1, 1, (t.mask, 0)) for t in game.maximal_losing)
     return Decomposition(game.n, parts)
 
 
@@ -128,61 +135,56 @@ def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
 
     Each coalition goes to a nearest center (distance 0 or 1), ties broken
     by smallest center mask.  Clusters come back in the code's center
-    order with empty ones dropped.
+    order with empty ones dropped.  Centers are found by looking up the
+    radius-1 ball of each coalition, so the cost is O(|family| * n).
 
     Raises NotACover if some maximal losing coalition is farther than
     distance 1 from every center.
     """
-    members: dict[int, list[Coalition]] = {c.mask: [] for c in code.centers}
+    index = {c.mask: i for i, c in enumerate(code.centers)}
+    # A center may hold players beyond game.n when the code is longer.
+    n = max(game.n, code.n)
+    groups: dict[int, tuple[ClusterCase, list[Coalition]]] = {}
     for x in game.maximal_losing:
-        best: Optional[tuple[int, int]] = None
-        for c in code.centers:
-            d = hamming_distance(x, c)
-            if d <= 1 and (best is None or (d, c.mask) < best):
-                best = (d, c.mask)
-        if best is None:
+        near = [m for m in _ball(x.mask, n) if m in index]
+        if not near:
             raise NotACover(x)
-        members[best[1]].append(x)
+        # The ball starts with x itself, so distance 0 wins over distance 1.
+        c = near[0] if near[0] == x.mask else min(near)
+        case = (
+            ClusterCase.EXACTLY_CENTER if c == x.mask
+            else ClusterCase.BELOW_CENTER if c > x.mask
+            else ClusterCase.ABOVE_CENTER
+        )
+        groups.setdefault(index[c], (case, []))[1].append(x)
     return [
-        Cluster(c, tuple(members[c.mask]), classify_members(c, tuple(members[c.mask])))
-        for c in code.centers
-        if members[c.mask]
+        Cluster(code.centers[i], tuple(members), case)
+        for i, (case, members) in sorted(groups.items())
     ]
 
 
 def cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
     """Express the game of one cluster as a weighted game.
 
-    Below the center, with ``removed`` the players deleted from the center
-    across the members: a coalition beats every member iff it leaves the
-    center or keeps all removed players, so quota |removed| with weight
-    |removed| outside the center and 1 on each removed player works.
-    Above the center, with ``added`` the players joined to the center:
-    a coalition beats every member iff it has a player outside
-    center+added or two of the added players, giving quota 2 with weights
-    2 outside, 1 on added players and 0 on the center.  A center-only
-    cluster is the single-coalition game.
+    Let ``spread`` be the players in which some member differs from the
+    center.  Below the center a coalition beats every member iff it leaves
+    the center or keeps all of spread, so quota |spread| with weight
+    |spread| outside the center and 1 on each spread player works.  Above
+    the center a coalition beats every member iff it has a player outside
+    center+spread or two of the spread players, giving quota 2 with
+    weights 2 outside, 1 on spread players and 0 on the center.  A
+    center-only cluster is the single-coalition game.
     """
-    c = cluster.center
+    c = cluster.center.mask
     if cluster.case_tag is ClusterCase.EXACTLY_CENTER:
-        return _single_losing_game(n, c)
-    if cluster.case_tag is ClusterCase.BELOW_CENTER:
-        removed = Coalition(0)
-        for m in cluster.members:
-            removed |= c - m
-        quota = len(removed)
-        weights = tuple(
-            quota if p not in c else (1 if p in removed else 0)
-            for p in range(1, n + 1)
-        )
-        return WeightedGame(quota, weights)
-    added = Coalition(0)
+        return _tiered(n, 1, 1, (c, 0))
+    spread = 0
     for m in cluster.members:
-        added |= m - c
-    weights = tuple(
-        0 if p in c else (1 if p in added else 2) for p in range(1, n + 1)
-    )
-    return WeightedGame(2, weights)
+        spread |= m.mask ^ c
+    if cluster.case_tag is ClusterCase.BELOW_CENTER:
+        q = spread.bit_count()
+        return _tiered(n, q, q, (spread, 1), (c, 0))
+    return _tiered(n, 2, 2, (c, 0), (spread, 1))
 
 
 def decompose_covering(
@@ -226,12 +228,10 @@ def pair_partition(game: SimpleGame) -> PairingPlan:
 def pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
     """Express the game losing exactly inside x or y as a weighted game.
 
-    Requires x and y incomparable at distance 2 or 3.  At distance 3 one
-    side of the symmetric difference has two players (weight 1 each) and
-    the other has one (weight 2); players outside both coalitions get
-    weight 3 and the quota is 3.  A coalition then reaches the quota
-    exactly when it escapes both x and y.  Distance 2 is the same pattern
-    one level down: quota 2, lone differing players weigh 1, outsiders 2.
+    Requires x and y incomparable at distance d = 2 or 3.  The larger side
+    of the symmetric difference weighs 1 per player, the other side d - 1,
+    the common players 0 and everyone else d, with quota d.  A coalition
+    then reaches the quota exactly when it escapes both x and y.
     """
     only_x = x - y
     only_y = y - x
@@ -242,20 +242,7 @@ def pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
         raise BadPairDistance(f"{x} and {y} are at distance {d}, need 2 or 3")
     if len(only_x) < len(only_y):
         only_x, only_y = only_y, only_x
-    both = x | y
-    if d == 2:
-        weights = tuple(
-            2 if p not in both else (1 if p in only_x or p in only_y else 0)
-            for p in range(1, n + 1)
-        )
-        return WeightedGame(2, weights)
-    weights = tuple(
-        3
-        if p not in both
-        else (1 if p in only_x else (2 if p in only_y else 0))
-        for p in range(1, n + 1)
-    )
-    return WeightedGame(3, weights)
+    return _tiered(n, d, d, (only_x.mask, 1), (only_y.mask, d - 1), ((x & y).mask, 0))
 
 
 def decompose_pairing(game: SimpleGame) -> Decomposition:
@@ -267,6 +254,6 @@ def decompose_pairing(game: SimpleGame) -> Decomposition:
     plan = pair_partition(game)
     parts = tuple(
         [pair_to_weighted(x, y, game.n) for x, y in plan.pairs]
-        + [_single_losing_game(game.n, t) for t in plan.singletons]
+        + [_tiered(game.n, 1, 1, (t.mask, 0)) for t in plan.singletons]
     )
     return Decomposition(game.n, parts)

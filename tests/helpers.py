@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from simplegames import Coalition, SimpleGame, validate_game
 
 
@@ -37,3 +39,11 @@ def random_antichain_game(n: int, rng: random.Random) -> SimpleGame:
     masks = {rng.randrange((1 << n) - 1) for _ in range(k)}
     maximal = reduce_to_maximal(masks)
     return validate_game(n, [Coalition(m) for m in maximal])
+
+
+@st.composite
+def antichain_games(draw, min_n=2, max_n=8) -> SimpleGame:
+    """Hypothesis strategy: a valid game reduced from random coalitions."""
+    n = draw(st.integers(min_n, max_n))
+    masks = draw(st.sets(st.integers(0, (1 << n) - 2), min_size=1, max_size=2 * n))
+    return validate_game(n, [Coalition(m) for m in reduce_to_maximal(masks)])

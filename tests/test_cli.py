@@ -391,24 +391,23 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert rc == EXIT_INPUT
 
 
+def test_deeply_nested_json_is_an_input_error(four_player_file, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["verify", str(deep), str(deep)]) == EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
+def test_non_utf8_file_error_names_the_path(four_player_file, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"n": 2, "maximal_losing": [["\xe9"]]}')
+    assert main(["verify", str(four_player_file), str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: ")
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose"])  # missing required arguments
     assert exc.value.code == EXIT_INPUT
 
-
-def test_seed_flag_is_accepted(four_player_file, tmp_path):
-    out = tmp_path / "dec.json"
-    rc = main(
-        [
-            "--seed",
-            "7",
-            "decompose",
-            str(four_player_file),
-            "--method",
-            "pairing",
-            "--output",
-            str(out),
-        ]
-    )
-    assert rc == EXIT_OK

@@ -1,0 +1,60 @@
+"""Guards on the public contract: the exported names and verify's independence."""
+
+import ast
+from pathlib import Path
+
+import simplegames
+
+PUBLIC_NAMES = [
+    "MAX_PLAYERS",
+    "BoundsReport",
+    "Cluster",
+    "ClusterCase",
+    "Coalition",
+    "Code",
+    "Decomposition",
+    "PairingPlan",
+    "SimpleGame",
+    "TradeCertificate",
+    "VerificationReport",
+    "WeightedGame",
+    "bounds_report",
+    "check_trade_certificate",
+    "cluster_partition",
+    "cluster_to_weighted",
+    "covering_radius_at_most",
+    "decompose_covering",
+    "decompose_pairing",
+    "derive_maximal_losing",
+    "find_trade_certificate",
+    "full_coalition",
+    "full_cover",
+    "greedy_cover",
+    "hamming_code",
+    "hamming_distance",
+    "is_winning",
+    "pair_partition",
+    "pair_to_weighted",
+    "simple_game_table",
+    "taylor_zwicker",
+    "validate_game",
+    "verify_decomposition",
+    "weighted_game_table",
+    "weighted_is_winning",
+]
+
+
+def test_public_names_are_pinned():
+    assert simplegames.__all__ == PUBLIC_NAMES
+    assert all(hasattr(simplegames, name) for name in PUBLIC_NAMES)
+
+
+def test_verify_does_not_import_decompose():
+    # verify is the independent oracle for every decomposition.
+    source = Path(simplegames.__file__).with_name("verify.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            assert "decompose" not in (node.module or "")
+            assert all("decompose" not in a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("decompose" not in a.name for a in node.names)

@@ -15,6 +15,7 @@ from simplegames import (
     validate_game,
     weighted_is_winning,
 )
+from simplegames.core import MAX_WEIGHT
 from simplegames.errors import (
     AntichainViolation,
     CapExceeded,
@@ -150,6 +151,20 @@ def test_weighted_game_rejects_negative_values():
         WeightedGame(-1, (1, 1))
     with pytest.raises(ValueError):
         WeightedGame(1, (1, -1))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, True, 2**70, MAX_WEIGHT + 1, "a"],
+    ids=["float", "bool", "beyond-int64", "above-bound", "string"],
+)
+def test_weighted_game_accepts_only_integers_up_to_the_bound(value):
+    # Floats would be truncated and huge ints overflow in verify's int64 sums.
+    with pytest.raises(ValueError):
+        WeightedGame(value, (1, 1))
+    with pytest.raises(ValueError):
+        WeightedGame(2, (value, 1))
+    assert WeightedGame(MAX_WEIGHT, (MAX_WEIGHT, 0)).quota == MAX_WEIGHT
 
 
 # ---------------------------------------------------------- hamming_distance

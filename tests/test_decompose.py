@@ -2,12 +2,11 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (
+    antichain_games,
     four_player_example,
     random_antichain_game,
-    reduce_to_maximal,
     seven_player_example,
 )
 from simplegames import (
@@ -31,13 +30,6 @@ from simplegames import (
     weighted_is_winning,
 )
 from simplegames.errors import BadPairDistance, MixedCluster, NotACover
-
-
-@st.composite
-def antichain_games(draw, min_n=2, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    masks = draw(st.sets(st.integers(0, (1 << n) - 2), min_size=1, max_size=2 * n))
-    return validate_game(n, [Coalition(m) for m in reduce_to_maximal(masks)])
 
 
 # ------------------------------------------------------------ taylor_zwicker

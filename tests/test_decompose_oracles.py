@@ -1,0 +1,221 @@
+"""Differential tests: the decompositions against the original implementations.
+
+The oracles below are the first versions of the clustering and of the two
+group-to-weighted-game constructions, kept verbatim apart from their
+names: a scan over every center for each coalition, one classification
+per cluster, and one hand-written weight formula per shape and per pair
+distance.  ``simplegames.decompose`` must reproduce them exactly.
+"""
+
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import antichain_games
+from simplegames import (
+    Cluster,
+    ClusterCase,
+    Coalition,
+    Code,
+    SimpleGame,
+    WeightedGame,
+    cluster_partition,
+    cluster_to_weighted,
+    decompose_covering,
+    decompose_pairing,
+    full_cover,
+    greedy_cover,
+    hamming_distance,
+    pair_partition,
+    pair_to_weighted,
+    taylor_zwicker,
+    validate_game,
+)
+from simplegames.decompose import classify_members
+from simplegames.errors import BadPairDistance, NotACover
+
+
+# -------------------------------------------------------------------- oracles
+
+
+def _single_losing_game(n: int, t: Coalition) -> WeightedGame:
+    # Wins exactly when not contained in t: quota 1, unit weight outside t.
+    return WeightedGame(1, tuple(0 if p in t else 1 for p in range(1, n + 1)))
+
+
+def oracle_cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
+    members: dict[int, list[Coalition]] = {c.mask: [] for c in code.centers}
+    for x in game.maximal_losing:
+        best: Optional[tuple[int, int]] = None
+        for c in code.centers:
+            d = hamming_distance(x, c)
+            if d <= 1 and (best is None or (d, c.mask) < best):
+                best = (d, c.mask)
+        if best is None:
+            raise NotACover(x)
+        members[best[1]].append(x)
+    return [
+        Cluster(c, tuple(members[c.mask]), classify_members(c, tuple(members[c.mask])))
+        for c in code.centers
+        if members[c.mask]
+    ]
+
+
+def oracle_cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
+    c = cluster.center
+    if cluster.case_tag is ClusterCase.EXACTLY_CENTER:
+        return _single_losing_game(n, c)
+    if cluster.case_tag is ClusterCase.BELOW_CENTER:
+        removed = Coalition(0)
+        for m in cluster.members:
+            removed |= c - m
+        quota = len(removed)
+        weights = tuple(
+            quota if p not in c else (1 if p in removed else 0)
+            for p in range(1, n + 1)
+        )
+        return WeightedGame(quota, weights)
+    added = Coalition(0)
+    for m in cluster.members:
+        added |= m - c
+    weights = tuple(
+        0 if p in c else (1 if p in added else 2) for p in range(1, n + 1)
+    )
+    return WeightedGame(2, weights)
+
+
+def oracle_pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
+    only_x = x - y
+    only_y = y - x
+    if len(only_x) == 0 or len(only_y) == 0:
+        raise BadPairDistance(f"{x} and {y} are comparable; cannot pair them")
+    d = len(only_x) + len(only_y)
+    if d not in (2, 3):
+        raise BadPairDistance(f"{x} and {y} are at distance {d}, need 2 or 3")
+    if len(only_x) < len(only_y):
+        only_x, only_y = only_y, only_x
+    both = x | y
+    if d == 2:
+        weights = tuple(
+            2 if p not in both else (1 if p in only_x or p in only_y else 0)
+            for p in range(1, n + 1)
+        )
+        return WeightedGame(2, weights)
+    weights = tuple(
+        3
+        if p not in both
+        else (1 if p in only_x else (2 if p in only_y else 0))
+        for p in range(1, n + 1)
+    )
+    return WeightedGame(3, weights)
+
+
+# ----------------------------------------------------------------- strategies
+
+
+@st.composite
+def games_with_codes(draw) -> tuple[SimpleGame, Code]:
+    """A game and a code that may or may not cover it.
+
+    Codes are the greedy cover, the full-cube cover, the family itself,
+    or centers drawn from the radius-1 balls of the family plus random
+    masks, in any order.  The last kind gives ties at distance 1 and,
+    when some ball is missed, codes that are no cover.  Codes one player
+    longer or shorter than the game are drawn too.
+    """
+    game = draw(antichain_games(min_n=1, max_n=8))
+    n = game.n
+    family = [t.mask for t in game.maximal_losing]
+    kind = draw(st.sampled_from(["greedy", "full", "self", "balls"]))
+    if kind == "greedy":
+        centers = [c.mask for c in greedy_cover(n, game.maximal_losing).centers]
+    elif kind == "full":
+        centers = [c.mask for c in full_cover(n).centers]
+    elif kind == "self":
+        centers = family
+    else:
+        # Flips of player n + 1 too, for codes one player longer.
+        near = sorted({t ^ b for t in family for b in [0] + [1 << i for i in range(n + 1)]})
+        centers = draw(st.lists(st.sampled_from(near), min_size=1, max_size=3 * n))
+        centers += draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
+    centers = draw(st.permutations(centers))
+    if draw(st.booleans()):
+        # Drop a center: the code may stop covering the family.
+        centers = centers[1:] or centers
+    length = draw(st.sampled_from([n, n + 1, max(1, n - 1)]))
+    centers = [c for c in centers if c >> length == 0] or [0]
+    return game, Code(length, tuple(Coalition(c) for c in centers))
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and payload of the error it raised."""
+    try:
+        return fn(*args)
+    except NotACover as exc:
+        return ("NotACover", exc.uncovered)
+    except BadPairDistance as exc:
+        return ("BadPairDistance", str(exc))
+
+
+# ---------------------------------------------------------------- differences
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_codes())
+def test_cluster_partition_matches_oracle(game_and_code):
+    game, code = game_and_code
+    clusters = outcome(cluster_partition, game, code)
+    assert clusters == outcome(oracle_cluster_partition, game, code)
+    if isinstance(clusters, list):
+        parts = tuple(oracle_cluster_to_weighted(cl, game.n) for cl in clusters)
+        assert tuple(cluster_to_weighted(cl, game.n) for cl in clusters) == parts
+        assert decompose_covering(game, code).parts == parts
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [
+        # {1,2} sits at distance 1 from all three centers; {1} is smallest.
+        [(1, 2, 3), (1, 2, 4), (1,)],
+        # Distance 0 beats the smaller center {1} at distance 1.
+        [(1,), (1, 2)],
+        # {1,2} has no center within distance 1.
+        [(3, 4), (1, 2, 3, 4)],
+        # Only a center holding player 5, beyond the game, covers {1,2}.
+        [(1, 2, 5), (3,)],
+    ],
+)
+def test_cluster_partition_tie_breaks_match_oracle(centers):
+    game = validate_game(4, [Coalition.of(1, 2), Coalition.of(3)])
+    code = Code(5, tuple(Coalition.of(*c) for c in centers))
+    expected = outcome(oracle_cluster_partition, game, code)
+    assert outcome(cluster_partition, game, code) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)
+        )
+    )
+)
+def test_pair_to_weighted_matches_oracle(n_x_y):
+    n, x, y = n_x_y
+    args = (Coalition(x), Coalition(y), n)
+    assert outcome(pair_to_weighted, *args) == outcome(oracle_pair_to_weighted, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(antichain_games(min_n=1, max_n=8))
+def test_single_coalition_parts_match_oracle(game):
+    n = game.n
+    singles = tuple(_single_losing_game(n, t) for t in game.maximal_losing)
+    assert taylor_zwicker(game).parts == singles
+    plan = pair_partition(game)
+    assert decompose_pairing(game).parts == tuple(
+        [oracle_pair_to_weighted(x, y, n) for x, y in plan.pairs]
+        + [_single_losing_game(n, t) for t in plan.singletons]
+    )
