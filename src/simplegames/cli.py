@@ -114,7 +114,8 @@ def load_decomposition(path: str) -> Decomposition:
     raw_parts = data.get("parts")
     if not isinstance(raw_parts, list) or not raw_parts:
         raise ValueError(f"{path}: field 'parts' must be a non-empty list")
-    if data.get("part_count") != len(raw_parts):
+    part_count = data.get("part_count")
+    if not _is_int(part_count) or part_count != len(raw_parts):
         raise ValueError(f"{path}: part_count does not match the number of parts")
     parts = []
     for entry in raw_parts:

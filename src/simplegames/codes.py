@@ -8,6 +8,7 @@ n = 2**m - 1; for arbitrary target sets a greedy set cover does the job.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,6 +109,15 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     is lost by skipping the rest of the cube.  Each round picks the
     candidate covering the most uncovered targets, ties broken by smallest
     mask.  Centers are returned in selection order.
+
+    The rounds are lazy (Minoux's accelerated greedy): a heap holds every
+    candidate under ``(-count, mask)`` with a count that may be stale, and
+    only the popped top is re-counted.  If its fresh count still equals its
+    key it is taken; otherwise it goes back under the fresh count, or is
+    dropped at 0.  Counts only fall as targets get covered, so every other
+    key bounds its candidate's fresh count from above: nobody covers more
+    than the winner, and a candidate covering as many sits behind it in the
+    heap only with a larger mask.  That is the same pick as a full rescan.
     """
     if n < 1 or n > MAX_PLAYERS:
         raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
@@ -117,19 +127,22 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     for t in target_masks:
         if t >> n:
             raise PlayerOutOfRange(f"target {Coalition(t)} does not fit into {n} players")
-    candidates = sorted({c for t in target_masks for c in _ball(t, n)})
     uncovered = set(target_masks)
+
+    def count(c: int) -> int:
+        return len(uncovered.intersection(_ball(c, n)))
+
+    heap = [(-count(c), c) for c in {c for t in target_masks for c in _ball(t, n)}]
+    heapq.heapify(heap)
     chosen: list[int] = []
     while uncovered:
-        best = None
-        best_count = 0
-        for c in candidates:
-            count = sum(1 for t in _ball(c, n) if t in uncovered)
-            if count > best_count:
-                best, best_count = c, count
-        assert best is not None  # every target covers itself
-        chosen.append(best)
-        uncovered.difference_update(_ball(best, n))
+        key, c = heapq.heappop(heap)  # never empty: an uncovered target counts itself
+        fresh = count(c)
+        if fresh == -key:
+            chosen.append(c)
+            uncovered.difference_update(_ball(c, n))
+        elif fresh:
+            heapq.heappush(heap, (-fresh, c))
     return Code(n, tuple(Coalition(c) for c in chosen))
 
 

@@ -186,12 +186,25 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
         )
     if not masks:
         raise EmptyFamily("a game needs at least one losing coalition")
-    # A submask is numerically <= its supermask, so after sorting only
-    # earlier-contains-later needs checking.
-    for i, small in enumerate(masks):
-        for large in masks[i + 1 :]:
-            if small & ~large == 0:
-                raise AntichainViolation(Coalition(small), Coalition(large))
+    # holders[i] has bit j set when masks[j] holds player i + 1.  ANDing the
+    # holders of a mask's players leaves the masks that contain it; without
+    # its own bit, its strict supersets.  Masks are ascending, so the error
+    # names the smallest contained mask and, by the lowest bit left, the
+    # smallest mask containing it.
+    holders = [
+        int("".join("1" if m >> i & 1 else "0" for m in reversed(masks)), 2)
+        for i in range(n)
+    ]
+    everyone = (1 << len(masks)) - 1
+    for j, small in enumerate(masks):
+        above = everyone
+        for i in range(n):
+            if small >> i & 1:
+                above &= holders[i]
+        above ^= 1 << j
+        if above:
+            large = masks[(above & -above).bit_length() - 1]
+            raise AntichainViolation(Coalition(small), Coalition(large))
     return SimpleGame(n, tuple(Coalition(m) for m in masks))
 
 

@@ -341,6 +341,23 @@ def test_verify_rejects_non_integer_or_huge_weights(four_player_file, tmp_path, 
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("part_count", [True, 1.0], ids=["bool", "float"])
+def test_verify_rejects_non_integer_part_count(tmp_path, capsys, part_count):
+    # A one-part decomposition of the game won only by {1, 2}: it is
+    # equivalent, so only the part_count check can reject it.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"n": 2, "maximal_losing": [[1], [2]]}))
+    dec = tmp_path / "dec.json"
+    obj = {"n": 2, "method": "covering", "part_count": 1,
+           "parts": [{"quota": 2, "weights": [1, 1]}]}
+    dec.write_text(json.dumps(obj))
+    assert main(["verify", str(game), str(dec)]) == EXIT_OK
+    capsys.readouterr()
+    dec.write_text(json.dumps({**obj, "part_count": part_count}))
+    assert main(["verify", str(game), str(dec)]) == EXIT_INPUT
+    assert_one_error_line(capsys)
+
+
 def test_verify_rejects_huge_player_number_quickly(four_player_file, tmp_path, capsys):
     game = tmp_path / "game.json"
     game.write_text(json.dumps({"n": 3, "maximal_losing": [[10_000_000]]}))

@@ -1,4 +1,5 @@
-"""Guards on the public contract: the exported names and verify's independence."""
+"""Guards on the public contract: the exported names, verify's independence
+and the functions the benchmark tracer wraps."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,21 @@ def test_verify_does_not_import_decompose():
             assert all("decompose" not in a.name for a in node.names)
         elif isinstance(node, ast.Import):
             assert all("decompose" not in a.name for a in node.names)
+
+
+def test_traced_names_are_module_level_functions():
+    # The benchmark tracer wraps these by name; a renamed or moved function
+    # would drop out of the per-layer metrics without any error.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    )
+    package = Path(simplegames.__file__).parent
+    for module, names in traced.items():
+        tree = ast.parse((package / f"{module}.py").read_text())
+        functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        missing = set(names) - functions
+        assert not missing, f"simplegames.{module} has no function {sorted(missing)}"

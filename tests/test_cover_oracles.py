@@ -1,0 +1,256 @@
+"""Differential tests: the greedy cover and the game check against the originals.
+
+The oracles below are the first versions of ``greedy_cover`` and
+``validate_game``, kept verbatim apart from their names: a rescan of every
+candidate ball in each greedy round, and a check of every pair of
+coalitions for containment.  ``simplegames`` must reproduce them exactly:
+the same centers in the same order, the same canonical game, or the same
+error naming the same coalitions.
+"""
+
+from itertools import combinations
+from typing import Iterable
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reduce_to_maximal
+from simplegames import Coalition, Code, SimpleGame, greedy_cover, validate_game
+from simplegames.codes import _ball
+from simplegames.core import MAX_PLAYERS
+from simplegames.errors import (
+    AntichainViolation,
+    EmptyFamily,
+    FullCoalitionLosing,
+    GameError,
+    PlayerOutOfRange,
+)
+
+
+# -------------------------------------------------------------------- oracles
+
+
+def oracle_greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
+    """Cover every target within distance 1 using greedy set cover.
+
+    Candidate centers are exactly the coalitions within distance 1 of some
+    target; any ball that covers a target has its center there, so nothing
+    is lost by skipping the rest of the cube.  Each round picks the
+    candidate covering the most uncovered targets, ties broken by smallest
+    mask.  Centers are returned in selection order.
+    """
+    if n < 1 or n > MAX_PLAYERS:
+        raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
+    target_masks = sorted({t.mask for t in targets})
+    if not target_masks:
+        raise ValueError("need at least one target to cover")
+    for t in target_masks:
+        if t >> n:
+            raise PlayerOutOfRange(f"target {Coalition(t)} does not fit into {n} players")
+    candidates = sorted({c for t in target_masks for c in _ball(t, n)})
+    uncovered = set(target_masks)
+    chosen: list[int] = []
+    while uncovered:
+        best = None
+        best_count = 0
+        for c in candidates:
+            count = sum(1 for t in _ball(c, n) if t in uncovered)
+            if count > best_count:
+                best, best_count = c, count
+        assert best is not None  # every target covers itself
+        chosen.append(best)
+        uncovered.difference_update(_ball(best, n))
+    return Code(n, tuple(Coalition(c) for c in chosen))
+
+
+def oracle_validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
+    """Check and canonicalize a family of maximal losing coalitions.
+
+    Exact duplicates are dropped silently; the result lists coalitions in
+    ascending mask order.
+
+    Raises:
+        PlayerOutOfRange: a coalition mentions a player outside 1..n.
+        FullCoalitionLosing: the grand coalition was declared losing.
+        EmptyFamily: no coalition given (the empty coalition must lose,
+            so every game has at least one maximal losing coalition).
+        AntichainViolation: one coalition contains another.
+    """
+    if n < 1 or n > MAX_PLAYERS:
+        raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
+    full = (1 << n) - 1
+    masks = sorted({c.mask for c in coalitions})
+    for m in masks:
+        if m & ~full:
+            raise PlayerOutOfRange(
+                f"coalition {Coalition(m)} does not fit into {n} players"
+            )
+    if full in masks:
+        raise FullCoalitionLosing(
+            f"the grand coalition of all {n} players must win"
+        )
+    if not masks:
+        raise EmptyFamily("a game needs at least one losing coalition")
+    # A submask is numerically <= its supermask, so after sorting only
+    # earlier-contains-later needs checking.
+    for i, small in enumerate(masks):
+        for large in masks[i + 1 :]:
+            if small & ~large == 0:
+                raise AntichainViolation(Coalition(small), Coalition(large))
+    return SimpleGame(n, tuple(Coalition(m) for m in masks))
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type, args and attributes of its error."""
+    try:
+        return fn(*args)
+    except (ValueError, GameError) as exc:
+        return (type(exc), exc.args, vars(exc))
+
+
+def coalitions(masks) -> list[Coalition]:
+    return [Coalition(m) for m in masks]
+
+
+def layer(n: int, k: int) -> list[Coalition]:
+    """All coalitions of k out of n players."""
+    return [Coalition(sum(1 << i for i in c)) for c in combinations(range(n), k)]
+
+
+# -------------------------------------------------------------- greedy cover
+
+
+@st.composite
+def cover_targets(draw) -> tuple[int, list[int]]:
+    """A length and a target list, duplicates included, in any order.
+
+    Targets are arbitrary masks, masks from a few radius-1 balls (dense
+    neighbourhoods, so many candidates tie on their count), the whole
+    cube, or a single coalition.
+    """
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["random", "balls", "cube", "single"]))
+    if kind == "random":
+        targets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4 * n))
+    elif kind == "balls":
+        seeds = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+        near = sorted({b for s in seeds for b in _ball(s, n)})
+        targets = draw(st.lists(st.sampled_from(near), min_size=1, max_size=3 * n))
+    elif kind == "cube":
+        # Larger cubes are the fixed cases below: the oracle is slow there.
+        n = min(n, 6)
+        targets = list(range(1 << n))
+    else:
+        targets = [draw(st.integers(0, (1 << n) - 1))]
+    targets += draw(st.lists(st.sampled_from(targets), max_size=3))
+    return n, draw(st.permutations(targets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_targets())
+def test_greedy_cover_matches_oracle(case):
+    n, targets = case
+    expected = oracle_greedy_cover(n, coalitions(targets)).centers
+    assert greedy_cover(n, coalitions(targets)).centers == expected
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_greedy_cover_of_whole_cube_matches_oracle(n):
+    cube = coalitions(range(1 << n))
+    assert greedy_cover(n, cube).centers == oracle_greedy_cover(n, cube).centers
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_greedy_cover_of_single_target_matches_oracle(n):
+    for mask in (0, (1 << n) - 1, 0b1010101010 & ((1 << n) - 1)):
+        target = [Coalition(mask)]
+        assert greedy_cover(n, target).centers == oracle_greedy_cover(n, target).centers
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_greedy_cover_of_middle_layer_matches_oracle(n):
+    targets = layer(n, n // 2)
+    assert greedy_cover(n, targets).centers == oracle_greedy_cover(n, targets).centers
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [(0, [0]), (MAX_PLAYERS + 1, [0]), (3, []), (3, [0b1000]), (3, [1, 0b10000])],
+    ids=["n-zero", "n-too-large", "no-targets", "target-too-wide", "one-too-wide"],
+)
+def test_greedy_cover_errors_match_oracle(n, masks):
+    expected = outcome(oracle_greedy_cover, n, coalitions(masks))
+    assert outcome(greedy_cover, n, coalitions(masks)) == expected
+
+
+# ------------------------------------------------------------- game checking
+
+
+@st.composite
+def families(draw) -> tuple[int, list[int]]:
+    """A player count and a coalition list that may or may not be a valid game.
+
+    Draws arbitrary masks (often nested, the grand coalition and, rarely,
+    masks wider than n included), antichains reduced from them, and
+    antichains with a few nested coalitions added, in any order.
+    """
+    n = draw(st.integers(1, 10))
+    top = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, top), max_size=4 * n))
+    kind = draw(st.sampled_from(["random", "antichain", "nested"]))
+    if kind != "random":
+        masks = reduce_to_maximal(set(masks) - {top}) or [0]
+    if kind == "nested":
+        for m in draw(st.lists(st.sampled_from(masks), min_size=1, max_size=3)):
+            masks.append(m & draw(st.integers(0, top)))
+    if draw(st.integers(0, 9)) == 0:
+        masks.append(draw(st.integers(top + 1, (1 << (n + 2)) - 1)))
+    masks += draw(st.lists(st.sampled_from(masks), max_size=2)) if masks else []
+    return n, draw(st.permutations(masks))
+
+
+@settings(max_examples=500, deadline=None)
+@given(families())
+def test_validate_game_matches_oracle(case):
+    n, masks = case
+    expected = outcome(oracle_validate_game, n, coalitions(masks))
+    assert outcome(validate_game, n, coalitions(masks)) == expected
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [
+        # {1,2} < {1,2,3} is reported, not the later {3} < {1,3}.
+        (4, [0b0011, 0b0100, 0b0101, 0b0111]),
+        # {1} sits in {1,2}, {1,3} and {1,2,3}; the smallest container wins.
+        (4, [0b0111, 0b0101, 0b0011, 0b0001, 0b0010]),
+        # The empty coalition is inside everything.
+        (3, [0b110, 0b011, 0, 0b101]),
+        # Duplicates of a nested pair.
+        (3, [0b011, 0b001, 0b011, 0b001]),
+        # The grand coalition is reported before any containment.
+        (3, [0b001, 0b011, 0b111]),
+        # A player beyond n is reported before the grand coalition.
+        (3, [0b111, 0b1000]),
+        (3, []),
+        (0, [0]),
+        (MAX_PLAYERS + 1, [0]),
+    ],
+)
+def test_validate_game_fixed_cases_match_oracle(n, masks):
+    expected = outcome(oracle_validate_game, n, coalitions(masks))
+    assert outcome(validate_game, n, coalitions(masks)) == expected
+
+
+def test_validate_game_on_two_middle_layers_matches_oracle():
+    # Every 6-set of 10 players holds six 5-sets: thousands of violations.
+    family = layer(10, 6) + layer(10, 5)
+    expected = outcome(oracle_validate_game, 10, family)
+    assert expected[0] is AntichainViolation
+    assert outcome(validate_game, 10, family) == expected
+
+
+def test_validate_game_on_middle_layer_matches_oracle():
+    family = layer(12, 6)
+    assert validate_game(12, family) == oracle_validate_game(12, family)
