@@ -54,13 +54,16 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _save_json(obj: dict, path: str) -> None:
+    # Streamed: the text of a large code file is never held whole in memory.
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2)
+        f.write("\n")
 
 
 def _player_count(data: dict, path: str) -> int:
     n = data.get("n")
-    if not _is_int(n):
+    if type(n) is not int:
         raise ValueError(f"{path}: field 'n' must be an integer")
     if not 1 <= n <= MAX_PLAYERS:
         raise ValueError(f"{path}: field 'n' must be in 1..{MAX_PLAYERS}, got {n}")
@@ -76,7 +79,7 @@ def _coalition_list(data: dict, key: str, path: str, n: int) -> list[Coalition]:
         # Range-checked before any mask is built: a huge player number
         # would make a huge mask.
         if not isinstance(entry, list) or not all(
-            _is_int(p) and 1 <= p <= n for p in entry
+            type(p) is int and 1 <= p <= n for p in entry
         ):
             raise ValueError(f"{path}: '{key}' entries must be lists of players 1..{n}")
         out.append(Coalition.from_players(entry))
@@ -90,11 +93,10 @@ def load_game(path: str) -> SimpleGame:
 
 
 def save_game(game: SimpleGame, path: str) -> None:
-    obj = {
-        "n": game.n,
-        "maximal_losing": [list(c.players) for c in game.maximal_losing],
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    _save_json(
+        {"n": game.n, "maximal_losing": [list(c.players) for c in game.maximal_losing]},
+        path,
+    )
 
 
 def load_code(path: str) -> Code:
@@ -104,8 +106,7 @@ def load_code(path: str) -> Code:
 
 
 def save_code(code: Code, path: str) -> None:
-    obj = {"n": code.n, "centers": [list(c.players) for c in code.centers]}
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    _save_json({"n": code.n, "centers": [list(c.players) for c in code.centers]}, path)
 
 
 def load_decomposition(path: str) -> Decomposition:
@@ -115,7 +116,7 @@ def load_decomposition(path: str) -> Decomposition:
     if not isinstance(raw_parts, list) or not raw_parts:
         raise ValueError(f"{path}: field 'parts' must be a non-empty list")
     part_count = data.get("part_count")
-    if not _is_int(part_count) or part_count != len(raw_parts):
+    if type(part_count) is not int or part_count != len(raw_parts):
         raise ValueError(f"{path}: part_count does not match the number of parts")
     parts = []
     for entry in raw_parts:
@@ -129,15 +130,10 @@ def load_decomposition(path: str) -> Decomposition:
 
 
 def save_decomposition(dec: Decomposition, method: str, path: str) -> None:
-    obj = {
-        "n": dec.n,
-        "method": method,
-        "part_count": len(dec.parts),
-        "parts": [
-            {"quota": p.quota, "weights": list(p.weights)} for p in dec.parts
-        ],
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    parts = [{"quota": p.quota, "weights": list(p.weights)} for p in dec.parts]
+    _save_json(
+        {"n": dec.n, "method": method, "part_count": len(parts), "parts": parts}, path
+    )
 
 
 # ----------------------------------------------------------------- commands

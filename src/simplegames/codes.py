@@ -66,34 +66,18 @@ class BoundsReport:
     known_bounds_row: tuple[int, int] | None
 
 
-def _position_xor(mask: int) -> int:
-    """XOR of the 1-based positions of the set bits."""
-    out = 0
-    pos = 1
-    while mask:
-        if mask & 1:
-            out ^= pos
-        mask >>= 1
-        pos += 1
-    return out
-
-
 def hamming_code(m: int) -> Code:
-    """The perfect radius-1 code of length n = 2**m - 1.
-
-    A coalition is a codeword exactly when the XOR of its member numbers
-    is zero; flipping bit j changes that syndrome by j, so the 2**(n-m)
-    codewords' radius-1 balls tile the whole cube.
-    """
-    if not HAMMING_MIN_M <= m <= HAMMING_MAX_M:
+    """The perfect radius-1 code of length n = 2**m - 1 (see :func:`full_cover`)."""
+    if type(m) is not int or not HAMMING_MIN_M <= m <= HAMMING_MAX_M:
         raise MOutOfRange(
             f"supported range is {HAMMING_MIN_M} <= m <= {HAMMING_MAX_M}, got {m}"
         )
-    n = (1 << m) - 1
-    centers = tuple(
-        Coalition(mask) for mask in range(1 << n) if _position_xor(mask) == 0
-    )
-    return Code(n, centers)
+    return full_cover((1 << m) - 1)
+
+
+def _check_length(n: int) -> None:
+    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
 
 
 def _ball(mask: int, n: int) -> list[int]:
@@ -119,8 +103,7 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     than the winner, and a candidate covering as many sits behind it in the
     heap only with a larger mask.  That is the same pick as a full rescan.
     """
-    if n < 1 or n > MAX_PLAYERS:
-        raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
+    _check_length(n)
     target_masks = sorted({t.mask for t in targets})
     if not target_masks:
         raise ValueError("need at least one target to cover")
@@ -146,30 +129,26 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     return Code(n, tuple(Coalition(c) for c in chosen))
 
 
-# Perfect base codes for the padded full-cube cover, by length.  Length 1
-# is the degenerate case: the single center {} covers both coalitions.
-_BASE_LENGTHS = (15, 7, 3, 1)
-
-
 def full_cover(n: int) -> Code:
-    """A radius-1 cover of the whole n-cube.
+    """A radius-1 cover of the whole n-cube, in ascending mask order.
 
-    Uses the longest perfect code of length n' <= n, padded with every
-    possible suffix on the remaining n - n' players.  The result has
-    2**(n - n') * 2**(n' - m) centers and is the exact minimum when
-    n is itself 2**m - 1.
+    Takes the perfect Hamming code on the longest length b = 2**m - 1 <= n.
+    A coalition of the first b players is a codeword exactly when its
+    syndrome, the XOR of its member numbers, is zero; flipping player j
+    changes the syndrome by j, so the codewords' radius-1 balls tile the
+    b-cube (for b = 1 the one codeword {} covers both coalitions).  Each
+    codeword is padded with every subset of the remaining n - b players,
+    which gives 2**(n - b) * 2**(b - m) centers, the exact minimum when
+    n = b.
     """
-    if n < 1 or n > MAX_PLAYERS:
-        raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
-    base_n = next(b for b in _BASE_LENGTHS if b <= n)
-    if base_n == 1:
-        base = [0]
-    else:
-        base = [c.mask for c in hamming_code(base_n.bit_length()).centers]
-    centers = sorted(
-        b | (suffix << base_n) for suffix in range(1 << (n - base_n)) for b in base
-    )
-    return Code(n, tuple(Coalition(m) for m in centers))
+    _check_length(n)
+    b = (1 << ((n + 1).bit_length() - 1)) - 1
+    syndromes = [0]  # syndromes[mask] for every mask on the players seen so far
+    for j in range(1, b + 1):
+        syndromes += [s ^ j for s in syndromes]
+    base = [mask for mask, s in enumerate(syndromes) if s == 0]
+    centers = (c | suffix << b for suffix in range(1 << (n - b)) for c in base)
+    return Code(n, tuple(Coalition(c) for c in centers))
 
 
 def covering_radius_at_most(code: Code, targets: Iterable[Coalition], r: int) -> bool:

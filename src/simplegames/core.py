@@ -3,7 +3,9 @@
 Players are numbered 1..n. A coalition is an n-bit mask with player i on
 bit i-1, so player 1 is the least significant bit and sorting coalitions
 by mask value yields the canonical deterministic order used everywhere in
-this package.
+this package.  Masks, player numbers, player counts and weights must be
+exactly ``int`` (checked as ``type(v) is int``), so bools and floats are
+refused where they enter.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ class Coalition:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise ValueError(f"coalition mask must be non-negative, got {self.mask}")
+        if type(self.mask) is not int or self.mask < 0:
+            raise ValueError(f"coalition mask must be an int >= 0, got {self.mask!r}")
 
     @classmethod
     def from_players(cls, players: Iterable[int]) -> Coalition:
         """Build a coalition from 1-based player numbers."""
         mask = 0
         for p in players:
-            if p < 1:
-                raise PlayerOutOfRange(f"players are numbered from 1, got {p}")
+            if type(p) is not int or p < 1:
+                raise PlayerOutOfRange(f"players are ints numbered from 1, got {p!r}")
             mask |= 1 << (p - 1)
         return cls(mask)
 
@@ -127,7 +129,7 @@ class WeightedGame:
         if not self.weights:
             raise ValueError("a weighted game needs at least one player")
         for v in (self.quota, *self.weights):
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= MAX_WEIGHT:
+            if type(v) is not int or not 0 <= v <= MAX_WEIGHT:
                 raise ValueError(
                     f"quota and weights must be integers in 0..{MAX_WEIGHT}"
                 )
@@ -171,7 +173,7 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
             so every game has at least one maximal losing coalition).
         AntichainViolation: one coalition contains another.
     """
-    if n < 1 or n > MAX_PLAYERS:
+    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
     full = (1 << n) - 1
     masks = sorted({c.mask for c in coalitions})
@@ -243,8 +245,8 @@ def derive_maximal_losing(
         CapExceeded: n exceeds MAX_PLAYERS.
         NonMonotoneOracle: some winning coalition has a losing superset.
     """
-    if n < 1:
-        raise ValueError(f"player count must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"player count must be a positive int, got {n}")
     if n > MAX_PLAYERS:
         raise CapExceeded(f"exhaustive scan needs n <= {MAX_PLAYERS}, got {n}")
     size = 1 << n

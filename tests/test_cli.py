@@ -4,6 +4,14 @@ import time
 import pytest
 
 from helpers import four_player_example, seven_player_example
+from simplegames import (
+    Coalition,
+    Code,
+    Decomposition,
+    WeightedGame,
+    full_cover,
+    validate_game,
+)
 from simplegames.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -11,6 +19,8 @@ from simplegames.cli import (
     load_decomposition,
     load_game,
     main,
+    save_code,
+    save_decomposition,
     save_game,
 )
 
@@ -397,6 +407,59 @@ def test_decomposition_file_round_trip(four_player_file, tmp_path):
     dec = load_decomposition(out)
     assert dec.n == 4
     assert len(dec.parts) == 2
+
+
+FULL_7 = full_cover(7)
+
+
+@pytest.mark.parametrize(
+    "write, obj",
+    [
+        (
+            lambda path: save_game(validate_game(3, [Coalition(0)]), path),
+            {"n": 3, "maximal_losing": [[]]},
+        ),
+        (
+            lambda path: save_game(seven_player_example(), path),
+            {"n": 7, "maximal_losing": [[1, 2, 3], [3, 4, 5, 6]]},
+        ),
+        (
+            lambda path: save_code(Code(2, (Coalition(0),)), path),
+            {"n": 2, "centers": [[]]},
+        ),
+        (
+            lambda path: save_code(Code(4, (Coalition.of(4), Coalition.of(1, 2))), path),
+            {"n": 4, "centers": [[4], [1, 2]]},
+        ),
+        (
+            lambda path: save_code(FULL_7, path),
+            {"n": 7, "centers": [list(c.players) for c in FULL_7.centers]},
+        ),
+        (
+            lambda path: save_decomposition(
+                Decomposition(2, (WeightedGame(2, (1, 1)), WeightedGame(0, (0, 3)))),
+                "pairing",
+                path,
+            ),
+            {
+                "n": 2,
+                "method": "pairing",
+                "part_count": 2,
+                "parts": [
+                    {"quota": 2, "weights": [1, 1]},
+                    {"quota": 0, "weights": [0, 3]},
+                ],
+            },
+        ),
+    ],
+    ids=["game-empty", "game", "code-one-center", "code", "code-full-7", "dec"],
+)
+def test_saved_files_are_indented_json_with_a_final_newline(tmp_path, write, obj):
+    # The format every file has had: json.dumps(obj, indent=2) plus "\n".
+    path = tmp_path / "out.json"
+    path.write_text("x" * 100_000)  # a longer old file is replaced, not overlaid
+    write(path)
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

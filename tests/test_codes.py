@@ -86,6 +86,12 @@ def test_hamming_code_rejects_out_of_range_m():
         hamming_code(5)
 
 
+@pytest.mark.parametrize("m", [3.0, True, "3", None], ids=repr)
+def test_hamming_code_rejects_non_integer_m(m):
+    with pytest.raises(MOutOfRange):
+        hamming_code(m)
+
+
 # ------------------------------------------------------------- greedy_cover
 
 
@@ -153,6 +159,14 @@ def test_full_cover_covers_everything(n):
 def test_full_cover_meets_perfect_bound_at_hamming_lengths(m):
     n = (1 << m) - 1
     assert len(full_cover(n)) == (1 << n) // (n + 1)
+
+
+@pytest.mark.parametrize("n", [2.0, True, "3", None], ids=repr)
+def test_cover_lengths_must_be_integers(n):
+    with pytest.raises(ValueError):
+        full_cover(n)
+    with pytest.raises(ValueError):
+        greedy_cover(n, [Coalition.of(1)])
 
 
 # ------------------------------------------------------------ bounds_report

@@ -1,5 +1,5 @@
-"""Guards on the public contract: the exported names, verify's independence
-and the functions the benchmark tracer wraps."""
+"""Guards on the public contract: the exported names, verify's independence,
+the functions the benchmark tracer wraps and the library names tests import."""
 
 import ast
 from pathlib import Path
@@ -77,3 +77,20 @@ def test_traced_names_are_module_level_functions():
         functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         missing = set(names) - functions
         assert not missing, f"simplegames.{module} has no function {sorted(missing)}"
+
+
+def test_tests_import_only_public_names_from_the_library():
+    # An oracle that imports a private helper changes along with the code
+    # it checks.  Test modules take public names and upper-case constants.
+    restricted = {f"simplegames.{m}" for m in ("core", "codes", "decompose", "verify")}
+    allowed = set(simplegames.__all__)
+    offenders = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in restricted:
+                offenders += [
+                    f"{path.name}: {node.module}.{a.name}"
+                    for a in node.names
+                    if a.name not in allowed and not a.name.isupper()
+                ]
+    assert not offenders

@@ -49,6 +49,25 @@ def test_coalition_rejects_bad_players():
         Coalition(-1)
 
 
+@pytest.mark.parametrize("value", [1.5, True, "3", None], ids=repr)
+def test_coalition_accepts_only_integers(value):
+    # A float mask would only fail later, in str() or validate_game.
+    with pytest.raises(ValueError):
+        Coalition(value)
+    with pytest.raises(PlayerOutOfRange):
+        Coalition.from_players([value])
+    with pytest.raises(PlayerOutOfRange):
+        Coalition.of(2, value)
+
+
+@pytest.mark.parametrize("n", [3.0, True, "3"], ids=repr)
+def test_player_counts_must_be_integers(n):
+    with pytest.raises(ValueError):
+        validate_game(n, [Coalition.of(1)])
+    with pytest.raises(ValueError):
+        derive_maximal_losing(n, lambda s: len(s) >= 1)
+
+
 def test_coalition_set_operations():
     a = Coalition.of(1, 2, 3)
     b = Coalition.of(2, 4)

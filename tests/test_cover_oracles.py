@@ -1,11 +1,13 @@
-"""Differential tests: the greedy cover and the game check against the originals.
+"""Differential tests: the covers and the game check against the originals.
 
-The oracles below are the first versions of ``greedy_cover`` and
-``validate_game``, kept verbatim apart from their names: a rescan of every
-candidate ball in each greedy round, and a check of every pair of
-coalitions for containment.  ``simplegames`` must reproduce them exactly:
-the same centers in the same order, the same canonical game, or the same
-error naming the same coalitions.
+The oracles below are earlier versions of ``greedy_cover``,
+``validate_game``, ``hamming_code`` and ``full_cover``, kept verbatim apart
+from their names: a rescan of every candidate ball in each greedy round, a
+check of every pair of coalitions for containment, a syndrome computed
+mask by mask over the whole cube, and a table of base lengths with a
+final sort.  ``simplegames`` must reproduce them exactly: the same centers
+in the same order, the same canonical game, or the same error naming the
+same coalitions.
 """
 
 from itertools import combinations
@@ -16,19 +18,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reduce_to_maximal
-from simplegames import Coalition, Code, SimpleGame, greedy_cover, validate_game
-from simplegames.codes import _ball
+from simplegames import (
+    Coalition,
+    Code,
+    SimpleGame,
+    full_cover,
+    greedy_cover,
+    hamming_code,
+    validate_game,
+)
+from simplegames.codes import HAMMING_MAX_M, HAMMING_MIN_M
 from simplegames.core import MAX_PLAYERS
 from simplegames.errors import (
     AntichainViolation,
     EmptyFamily,
     FullCoalitionLosing,
     GameError,
+    MOutOfRange,
     PlayerOutOfRange,
 )
 
 
 # -------------------------------------------------------------------- oracles
+
+
+def _ball(mask: int, n: int) -> list[int]:
+    """The mask itself plus all single-bit flips."""
+    return [mask] + [mask ^ (1 << i) for i in range(n)]
 
 
 def oracle_greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
@@ -99,6 +115,62 @@ def oracle_validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
             if small & ~large == 0:
                 raise AntichainViolation(Coalition(small), Coalition(large))
     return SimpleGame(n, tuple(Coalition(m) for m in masks))
+
+
+def _oracle_position_xor(mask: int) -> int:
+    """XOR of the 1-based positions of the set bits."""
+    out = 0
+    pos = 1
+    while mask:
+        if mask & 1:
+            out ^= pos
+        mask >>= 1
+        pos += 1
+    return out
+
+
+def oracle_hamming_code(m: int) -> Code:
+    """The perfect radius-1 code of length n = 2**m - 1.
+
+    A coalition is a codeword exactly when the XOR of its member numbers
+    is zero; flipping bit j changes that syndrome by j, so the 2**(n-m)
+    codewords' radius-1 balls tile the whole cube.
+    """
+    if not HAMMING_MIN_M <= m <= HAMMING_MAX_M:
+        raise MOutOfRange(
+            f"supported range is {HAMMING_MIN_M} <= m <= {HAMMING_MAX_M}, got {m}"
+        )
+    n = (1 << m) - 1
+    centers = tuple(
+        Coalition(mask) for mask in range(1 << n) if _oracle_position_xor(mask) == 0
+    )
+    return Code(n, centers)
+
+
+# Perfect base codes for the padded full-cube cover, by length.  Length 1
+# is the degenerate case: the single center {} covers both coalitions.
+_ORACLE_BASE_LENGTHS = (15, 7, 3, 1)
+
+
+def oracle_full_cover(n: int) -> Code:
+    """A radius-1 cover of the whole n-cube.
+
+    Uses the longest perfect code of length n' <= n, padded with every
+    possible suffix on the remaining n - n' players.  The result has
+    2**(n - n') * 2**(n' - m) centers and is the exact minimum when
+    n is itself 2**m - 1.
+    """
+    if n < 1 or n > MAX_PLAYERS:
+        raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
+    base_n = next(b for b in _ORACLE_BASE_LENGTHS if b <= n)
+    if base_n == 1:
+        base = [0]
+    else:
+        base = [c.mask for c in oracle_hamming_code(base_n.bit_length()).centers]
+    centers = sorted(
+        b | (suffix << base_n) for suffix in range(1 << (n - base_n)) for b in base
+    )
+    return Code(n, tuple(Coalition(m) for m in centers))
 
 
 def outcome(fn, *args):
@@ -182,6 +254,37 @@ def test_greedy_cover_of_middle_layer_matches_oracle(n):
 def test_greedy_cover_errors_match_oracle(n, masks):
     expected = outcome(oracle_greedy_cover, n, coalitions(masks))
     assert outcome(greedy_cover, n, coalitions(masks)) == expected
+
+
+# ---------------------------------------------------------- full-cube cover
+
+
+@pytest.mark.parametrize("m", range(HAMMING_MIN_M, HAMMING_MAX_M + 1))
+def test_hamming_code_matches_oracle(m):
+    code = hamming_code(m)
+    assert code.n == (1 << m) - 1
+    assert code.centers == oracle_hamming_code(m).centers
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_full_cover_matches_oracle(n):
+    code = full_cover(n)
+    assert code.n == n
+    assert code.centers == oracle_full_cover(n).centers
+
+
+@pytest.mark.parametrize(
+    "fn, arg",
+    [
+        (hamming_code, 1),
+        (hamming_code, HAMMING_MAX_M + 1),
+        (full_cover, 0),
+        (full_cover, MAX_PLAYERS + 1),
+    ],
+)
+def test_full_cube_errors_match_oracle(fn, arg):
+    oracle = {hamming_code: oracle_hamming_code, full_cover: oracle_full_cover}[fn]
+    assert outcome(fn, arg) == outcome(oracle, arg)
 
 
 # ------------------------------------------------------------- game checking

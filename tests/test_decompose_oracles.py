@@ -33,11 +33,34 @@ from simplegames import (
     taylor_zwicker,
     validate_game,
 )
-from simplegames.decompose import classify_members
-from simplegames.errors import BadPairDistance, NotACover
+from simplegames.errors import BadPairDistance, MixedCluster, NotACover
 
 
 # -------------------------------------------------------------------- oracles
+
+
+def _classify_members(
+    center: Coalition, members: tuple[Coalition, ...]
+) -> ClusterCase:
+    """Decide which cluster shape the members form around the center.
+
+    Raises MixedCluster when they form none of the three shapes; that can
+    only happen for inputs that are not an antichain or not within
+    distance 1 of the center.
+    """
+    if any(hamming_distance(m, center) > 1 for m in members):
+        raise MixedCluster(
+            f"some member is farther than distance 1 from center {center}"
+        )
+    if members == (center,):
+        return ClusterCase.EXACTLY_CENTER
+    if all(m != center and m.issubset(center) for m in members):
+        return ClusterCase.BELOW_CENTER
+    if all(m != center and center.issubset(m) for m in members):
+        return ClusterCase.ABOVE_CENTER
+    raise MixedCluster(
+        f"members around {center} mix sides; the family cannot be an antichain"
+    )
 
 
 def _single_losing_game(n: int, t: Coalition) -> WeightedGame:
@@ -57,7 +80,7 @@ def oracle_cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
             raise NotACover(x)
         members[best[1]].append(x)
     return [
-        Cluster(c, tuple(members[c.mask]), classify_members(c, tuple(members[c.mask])))
+        Cluster(c, tuple(members[c.mask]), _classify_members(c, tuple(members[c.mask])))
         for c in code.centers
         if members[c.mask]
     ]

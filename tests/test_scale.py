@@ -1,13 +1,24 @@
-"""Golden run at the size the tool is built for: the middle layer C(16, 8).
+"""Runs at the size the tool is built for.
 
-The 12 870 coalitions of 8 out of 16 players pass the antichain check, the
-greedy cover needs 1 430 centers (the count of the first, full-rescan
-greedy), and the covering decomposition has one part per center and is
-equivalent to the game on all 2**16 coalitions.
+The middle layer C(16, 8): its 12 870 coalitions of 8 out of 16 players
+pass the antichain check, the greedy cover needs 1 430 centers (the count
+of the first, full-rescan greedy), and the covering decomposition has one
+part per center and is equivalent to the game on all 2**16 coalitions.
+
+The full-cube cover of 20 players: writing its 65 536 centers stays within
+a fixed memory margin of a command that loads the package and does nothing
+else.
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import pytest
+
+import simplegames
 from simplegames import (
     Coalition,
     decompose_covering,
@@ -28,3 +39,44 @@ def test_middle_layer_16_golden():
     report = verify_decomposition(game, dec)
     assert report.equivalent
     assert report.coalitions_checked == 1 << 16
+
+
+# Max RSS of `cover --full 20` above that of `bounds 20`, in MiB.  Building
+# the centers and writing them as a stream stays near 18 MiB above; holding
+# the whole file text as well took about 79 MiB.
+COVER_FULL_20_MARGIN_MIB = 40
+
+# Runs a command, then prints its exit code and its own max RSS in KiB.
+# Linux counts the memory a child holds before its exec, a copy of its
+# parent's, in the child's max RSS, so the command is started from this
+# small process rather than from the test process.
+MEASURE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def cli_max_rss_mib(*argv: str, cwd: Path) -> float:
+    src = str(Path(simplegames.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", MEASURE, sys.executable, "-m", "simplegames.cli", *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    code, kib = map(int, out.split())
+    assert code == 0
+    return kib / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_cover_full_20_memory_stays_near_start_up(tmp_path):
+    baseline = cli_max_rss_mib("bounds", "20", cwd=tmp_path)
+    cover = cli_max_rss_mib("cover", "--full", "20", "--output", "c.json", cwd=tmp_path)
+    assert (tmp_path / "c.json").stat().st_size > 0
+    assert cover - baseline < COVER_FULL_20_MARGIN_MIB
