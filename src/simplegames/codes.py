@@ -34,6 +34,7 @@ class Code:
     centers: tuple[Coalition, ...]
 
     def __post_init__(self) -> None:
+        _check_length(self.n)
         object.__setattr__(self, "centers", tuple(dict.fromkeys(self.centers)))
         for c in self.centers:
             if not c.fits(self.n):
@@ -173,7 +174,7 @@ def _bounds_table() -> dict[int, tuple[int, int]]:
 
 def bounds_report(n: int) -> BoundsReport:
     """Collect every bound this package knows for length n (1 <= n <= 63)."""
-    if not 1 <= n <= 63:
+    if type(n) is not int or not 1 <= n <= 63:
         raise ValueError(f"bounds are reported for 1 <= n <= 63, got {n}")
     sperner = math.comb(n, n // 2)
     if (n + 1).bit_count() == 1:

@@ -151,6 +151,8 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
+        if type(self.n) is not int or not 1 <= self.n <= MAX_PLAYERS:
+            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {self.n}")
         if not self.parts:
             raise ValueError("a decomposition needs at least one part")
         for part in self.parts:

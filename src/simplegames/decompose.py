@@ -27,13 +27,7 @@ from enum import Enum
 from typing import Optional
 
 from .codes import Code, _ball, greedy_cover
-from .core import (
-    Coalition,
-    Decomposition,
-    SimpleGame,
-    WeightedGame,
-    hamming_distance,
-)
+from .core import Coalition, Decomposition, SimpleGame, WeightedGame
 from .errors import BadPairDistance, MixedCluster, NotACover
 
 
@@ -63,35 +57,22 @@ class Cluster:
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
         if not self.members:
             raise ValueError("a cluster needs at least one member")
-        if classify_members(self.center, self.members) != self.case_tag:
+        # Members are distinct, so {EXACTLY_CENTER} means the center alone.
+        if {_side(self.center.mask, m.mask) for m in self.members} != {self.case_tag}:
             raise MixedCluster(
                 f"members {[str(m) for m in self.members]} do not form a "
                 f"{self.case_tag.value} cluster around {self.center}"
             )
 
 
-def classify_members(
-    center: Coalition, members: tuple[Coalition, ...]
-) -> ClusterCase:
-    """Decide which cluster shape the members form around the center.
-
-    Raises MixedCluster when they form none of the three shapes; that can
-    only happen for inputs that are not an antichain or not within
-    distance 1 of the center.
-    """
-    if any(hamming_distance(m, center) > 1 for m in members):
-        raise MixedCluster(
-            f"some member is farther than distance 1 from center {center}"
-        )
-    if members == (center,):
+def _side(center: int, member: int) -> Optional[ClusterCase]:
+    """The shape a member gives a cluster around the center; None beyond distance 1."""
+    flip = center ^ member
+    if not flip:
         return ClusterCase.EXACTLY_CENTER
-    if all(m != center and m.issubset(center) for m in members):
-        return ClusterCase.BELOW_CENTER
-    if all(m != center and center.issubset(m) for m in members):
-        return ClusterCase.ABOVE_CENTER
-    raise MixedCluster(
-        f"members around {center} mix sides; the family cannot be an antichain"
-    )
+    if flip & (flip - 1):
+        return None
+    return ClusterCase.BELOW_CENTER if center & flip else ClusterCase.ABOVE_CENTER
 
 
 @dataclass(frozen=True)
@@ -151,12 +132,7 @@ def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
             raise NotACover(x)
         # The ball starts with x itself, so distance 0 wins over distance 1.
         c = near[0] if near[0] == x.mask else min(near)
-        case = (
-            ClusterCase.EXACTLY_CENTER if c == x.mask
-            else ClusterCase.BELOW_CENTER if c > x.mask
-            else ClusterCase.ABOVE_CENTER
-        )
-        groups.setdefault(index[c], (case, []))[1].append(x)
+        groups.setdefault(index[c], (_side(c, x.mask), []))[1].append(x)
     return [
         Cluster(code.centers[i], tuple(members), case)
         for i, (case, members) in sorted(groups.items())
@@ -211,14 +187,15 @@ def pair_partition(game: SimpleGame) -> PairingPlan:
     2 or 3.
     """
     family = game.maximal_losing
+    masks = [x.mask for x in family]
     matched = [False] * len(family)
     pairs: list[tuple[Coalition, Coalition]] = []
-    for i, x in enumerate(family):
+    for i, x in enumerate(masks):
         if matched[i]:
             continue
-        for j in range(i + 1, len(family)):
-            if not matched[j] and hamming_distance(x, family[j]) <= 3:
-                pairs.append((x, family[j]))
+        for j in range(i + 1, len(masks)):
+            if not matched[j] and (x ^ masks[j]).bit_count() <= 3:
+                pairs.append((family[i], family[j]))
                 matched[i] = matched[j] = True
                 break
     singletons = tuple(x for i, x in enumerate(family) if not matched[i])
@@ -233,16 +210,16 @@ def pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
     the common players 0 and everyone else d, with quota d.  A coalition
     then reaches the quota exactly when it escapes both x and y.
     """
-    only_x = x - y
-    only_y = y - x
-    if len(only_x) == 0 or len(only_y) == 0:
+    only_x = x.mask & ~y.mask
+    only_y = y.mask & ~x.mask
+    if not only_x or not only_y:
         raise BadPairDistance(f"{x} and {y} are comparable; cannot pair them")
-    d = len(only_x) + len(only_y)
+    d = (only_x | only_y).bit_count()
     if d not in (2, 3):
         raise BadPairDistance(f"{x} and {y} are at distance {d}, need 2 or 3")
-    if len(only_x) < len(only_y):
+    if only_x.bit_count() < only_y.bit_count():
         only_x, only_y = only_y, only_x
-    return _tiered(n, d, d, (only_x.mask, 1), (only_y.mask, d - 1), ((x & y).mask, 0))
+    return _tiered(n, d, d, (only_x, 1), (only_y, d - 1), (x.mask & y.mask, 0))
 
 
 def decompose_pairing(game: SimpleGame) -> Decomposition:

@@ -13,6 +13,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import (
+    MAX_PLAYERS,
     Coalition,
     Decomposition,
     SimpleGame,
@@ -56,6 +57,8 @@ class VerificationReport:
 
 def simple_game_table(game: SimpleGame) -> np.ndarray:
     """Winning truth table over all 2**n coalitions, indexed by mask."""
+    if game.n > MAX_PLAYERS:
+        raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {game.n}")
     losing = np.zeros(1 << game.n, dtype=bool)
     losing[[t.mask for t in game.maximal_losing]] = True
     for i in range(game.n):
@@ -87,6 +90,8 @@ def _threshold_table(n: int, parts: tuple[WeightedGame, ...]) -> np.ndarray:
     parts * 2**n comparisons in all and about 2**n bytes of table plus
     a few arrays of at most CHUNK_CELLS cells.
     """
+    if n > MAX_PLAYERS:
+        raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
     h = (n + 1) // 2
     table = np.ones((1 << (n - h), 1 << h), dtype=bool)
     step = max(1, CHUNK_CELLS >> h)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 from hypothesis import strategies as st
 
@@ -47,3 +50,25 @@ def antichain_games(draw, min_n=2, max_n=8) -> SimpleGame:
     n = draw(st.integers(min_n, max_n))
     masks = draw(st.sets(st.integers(0, (1 << n) - 2), min_size=1, max_size=2 * n))
     return validate_game(n, [Coalition(m) for m in reduce_to_maximal(masks)])
+
+
+def secded_family(n: int, w: int) -> list[Coalition]:
+    """The w-player coalitions of n players whose player numbers XOR to 0."""
+    return [
+        Coalition.from_players(c)
+        for c in combinations(range(1, n + 1), w)
+        if reduce(xor, c, 0) == 0
+    ]
+
+
+@st.composite
+def secded_games(draw, max_n=12) -> SimpleGame:
+    """Hypothesis strategy: a constant-weight SECDED family (Olsen et al.).
+
+    Two coalitions of one size differ in an even number of players, and
+    trading one player for another changes the XOR, so the coalitions are
+    at least distance 4 apart: none pair up and none share a center.
+    """
+    n = draw(st.integers(4, max_n))
+    w = draw(st.sampled_from([w for w in range(3, n) if secded_family(n, w)]))
+    return validate_game(n, secded_family(n, w))

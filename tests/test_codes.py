@@ -43,6 +43,13 @@ def test_code_rejects_empty():
         Code(3, ())
 
 
+@pytest.mark.parametrize("n", [0, 25, True, 3.0], ids=repr)
+def test_code_lengths_are_ints_within_the_cap(n):
+    # A code of length 0 could be saved but not loaded back.
+    with pytest.raises(ValueError):
+        Code(n, (Coalition(0),))
+
+
 # ------------------------------------------------------------- hamming_code
 
 
@@ -209,6 +216,12 @@ def test_bounds_report_rejects_out_of_range():
         bounds_report(0)
     with pytest.raises(ValueError):
         bounds_report(64)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 1.5], ids=repr)
+def test_bounds_report_takes_only_ints(n):
+    with pytest.raises(ValueError):
+        bounds_report(n)
 
 
 @pytest.mark.parametrize("n", range(1, 64))

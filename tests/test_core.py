@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import four_player_example, random_antichain_game, seven_player_example
 from simplegames import (
     Coalition,
+    Decomposition,
     WeightedGame,
     derive_maximal_losing,
     full_coalition,
@@ -163,6 +164,13 @@ def test_predicates_reject_oversized_coalitions():
 
 def test_weighted_game_str():
     assert str(WeightedGame(2, (1, 1, 2, 0))) == "[2;1,1,2,0]"
+
+
+@pytest.mark.parametrize("n", [25, 30, True, 2.0], ids=repr)
+def test_decomposition_player_counts_are_ints_within_the_cap(n):
+    # Each part has int(n) players, so only the count itself is wrong.
+    with pytest.raises(ValueError):
+        Decomposition(n, (WeightedGame(1, (1,) * int(n)),))
 
 
 def test_weighted_game_rejects_negative_values():

@@ -1,10 +1,11 @@
 """Differential tests: the decompositions against the original implementations.
 
-The oracles below are the first versions of the clustering and of the two
-group-to-weighted-game constructions, kept verbatim apart from their
-names: a scan over every center for each coalition, one classification
-per cluster, and one hand-written weight formula per shape and per pair
-distance.  ``simplegames.decompose`` must reproduce them exactly.
+The oracles below are the first versions of the clustering, of the
+pairing scan and of the two group-to-weighted-game constructions, kept
+verbatim apart from their names: a scan over every center for each
+coalition, one classification per cluster, a pairwise scan over
+``Coalition`` objects, and one hand-written weight formula per shape and
+per pair distance.  ``simplegames.decompose`` must reproduce them exactly.
 """
 
 from typing import Optional
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import antichain_games
+from helpers import antichain_games, secded_games
 from simplegames import (
     Cluster,
     ClusterCase,
     Coalition,
     Code,
+    PairingPlan,
     SimpleGame,
     WeightedGame,
     cluster_partition,
@@ -109,6 +111,29 @@ def oracle_cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
     return WeightedGame(2, weights)
 
 
+def oracle_pair_partition(game: SimpleGame) -> PairingPlan:
+    """Greedy maximal matching of the family at Hamming distance <= 3.
+
+    Scans coalitions in canonical order; each unmatched coalition grabs
+    the first later unmatched coalition within distance 3.  Distances 0
+    and 1 cannot occur inside an antichain, so every pair is at distance
+    2 or 3.
+    """
+    family = game.maximal_losing
+    matched = [False] * len(family)
+    pairs: list[tuple[Coalition, Coalition]] = []
+    for i, x in enumerate(family):
+        if matched[i]:
+            continue
+        for j in range(i + 1, len(family)):
+            if not matched[j] and hamming_distance(x, family[j]) <= 3:
+                pairs.append((x, family[j]))
+                matched[i] = matched[j] = True
+                break
+    singletons = tuple(x for i, x in enumerate(family) if not matched[i])
+    return PairingPlan(tuple(pairs), singletons)
+
+
 def oracle_pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
     only_x = x - y
     only_y = y - x
@@ -170,6 +195,21 @@ def games_with_codes(draw) -> tuple[SimpleGame, Code]:
     length = draw(st.sampled_from([n, n + 1, max(1, n - 1)]))
     centers = [c for c in centers if c >> length == 0] or [0]
     return game, Code(length, tuple(Coalition(c) for c in centers))
+
+
+@st.composite
+def clusters_near_a_center(draw) -> tuple[Coalition, list[Coalition]]:
+    """A center and members from its radius-1 or radius-2 ball, n <= 8.
+
+    Members may repeat, include the center, lie on both sides of it or
+    lie at distance 2; the list may be empty.
+    """
+    n = draw(st.integers(1, 8))
+    center = draw(st.integers(0, (1 << n) - 1))
+    radius = draw(st.sampled_from([1, 2]))
+    ball = [center ^ f for f in range(1 << n) if f.bit_count() <= radius]
+    members = draw(st.lists(st.sampled_from(ball), max_size=6))
+    return Coalition(center), [Coalition(m) for m in members]
 
 
 def outcome(fn, *args):
@@ -242,3 +282,38 @@ def test_single_coalition_parts_match_oracle(game):
         [oracle_pair_to_weighted(x, y, n) for x, y in plan.pairs]
         + [_single_losing_game(n, t) for t in plan.singletons]
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(clusters_near_a_center())
+def test_cluster_accepts_exactly_the_shapes_the_oracle_names(center_and_members):
+    center, members = center_and_members
+    distinct = tuple(sorted(set(members)))
+    try:
+        shape = _classify_members(center, distinct) if distinct else None
+    except MixedCluster:
+        shape = None
+    for tag in ClusterCase:
+        if not distinct:
+            with pytest.raises(ValueError):
+                Cluster(center, tuple(members), tag)
+        elif tag is shape:
+            assert Cluster(center, tuple(members), tag).members == distinct
+        else:
+            with pytest.raises(MixedCluster):
+                Cluster(center, tuple(members), tag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichain_games(min_n=1, max_n=8))
+def test_pair_partition_matches_oracle(game):
+    assert pair_partition(game) == oracle_pair_partition(game)
+
+
+@settings(max_examples=60, deadline=None)
+@given(secded_games())
+def test_secded_families_have_no_pairs_and_one_center_each(game):
+    plan = pair_partition(game)
+    assert plan == oracle_pair_partition(game)
+    assert plan.pairs == () and plan.singletons == game.maximal_losing
+    assert len(greedy_cover(game.n, game.maximal_losing)) == len(game.maximal_losing)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from helpers import four_player_example, random_antichain_game, seven_player_example
 from simplegames import (
+    MAX_PLAYERS,
     Coalition,
     Decomposition,
+    SimpleGame,
     TradeCertificate,
     WeightedGame,
     check_trade_certificate,
@@ -58,6 +60,15 @@ def test_simple_game_table_endpoints():
     table = simple_game_table(game)
     assert not table[0] and table[(1 << 7) - 1]
     assert table.shape == (128,)
+
+
+def test_tables_refuse_more_than_max_players_before_allocating():
+    n = MAX_PLAYERS + 1
+    # Built directly, so validate_game's own cap does not apply.
+    with pytest.raises(CapExceeded):
+        simple_game_table(SimpleGame(n, (Coalition(0),)))
+    with pytest.raises(CapExceeded):
+        weighted_game_table(WeightedGame(1, (1,) * n))
 
 
 # ------------------------------------------------------- verify_decomposition
