@@ -25,8 +25,8 @@ from .errors import (
 # Single knob for every exhaustive 2**n scan in the package.
 MAX_PLAYERS = 24
 
-# Largest weight or quota a weighted game may hold.  MAX_PLAYERS of them
-# sum to less than 2**63, so verify's int64 subset sums are exact.
+# Largest weight or quota a weighted game may hold, and so the largest
+# number the file loader accepts in a decomposition.
 MAX_WEIGHT = 1 << 58
 
 

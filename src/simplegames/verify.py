@@ -2,15 +2,18 @@
 
 The truth tables here are computed straight from the definitions (subset
 of a maximal losing coalition; weight sum against quota) and are therefore
-independent of how a decomposition was constructed.
+independent of how a decomposition was constructed.  A losing set is held
+as one int of 2**n bits, bit m for the coalition with mask m; only the
+public table functions turn it into a numpy array, and only they import
+numpy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Union
-
-import numpy as np
 
 from .core import (
     MAX_PLAYERS,
@@ -21,14 +24,10 @@ from .core import (
     is_winning,
     weighted_is_winning,
 )
-from .errors import CapExceeded, DimensionMismatch, UnbalancedTrade
+from .errors import CapExceeded, DimensionMismatch, PlayerOutOfRange, UnbalancedTrade
 
 # Certificate search scans losing pairs times submasks, roughly 4**n work.
 TRADE_SEARCH_MAX_PLAYERS = 10
-
-# Half-sum cells (parts times 2**ceil(n/2)) the threshold tables hold at once;
-# larger chunks save little time and raise peak memory.
-CHUNK_CELLS = 1 << 14
 
 GameLike = Union[SimpleGame, WeightedGame, Decomposition, Callable[[Coalition], bool]]
 
@@ -55,81 +54,125 @@ class VerificationReport:
     coalitions_checked: int
 
 
-def simple_game_table(game: SimpleGame) -> np.ndarray:
-    """Winning truth table over all 2**n coalitions, indexed by mask."""
-    if game.n > MAX_PLAYERS:
-        raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {game.n}")
-    losing = np.zeros(1 << game.n, dtype=bool)
-    losing[[t.mask for t in game.maximal_losing]] = True
-    for i in range(game.n):
-        # pairs[:, 0] holds the masks without player i + 1, pairs[:, 1] the
-        # same masks with it; after all passes losing[m] iff m is a submask
-        # of a marked mask
-        pairs = losing.reshape(-1, 2, 1 << i)
-        pairs[:, 0] |= pairs[:, 1]
-    return ~losing
+def _holders(n: int, i: int) -> int:
+    """Bits of the masks that hold player i + 1, over whole bytes of masks.
 
-
-def _subset_sums(weights: np.ndarray) -> np.ndarray:
-    """Row r, column m: the sum of weights[r, i] over the bits i of m."""
-    rows, count = weights.shape
-    sums = np.zeros((rows, 1 << count), dtype=np.int64)
-    for i in range(count):
-        bit = 1 << i
-        np.add(sums[:, :bit], weights[:, i : i + 1], out=sums[:, bit : 2 * bit])
-    return sums
-
-
-def _threshold_table(n: int, parts: tuple[WeightedGame, ...]) -> np.ndarray:
-    """Truth table of the intersection of weighted games, indexed by mask.
-
-    Meet in the middle: a mask is a column (its low h bits) and a row (the
-    rest), and it wins a part iff lo[column] >= quota - hi[row], with lo and
-    hi the subset sums of the part's low and high weights.  Each row of the
-    table is then one vectorised comparison per chunk of parts, for
-    parts * 2**n comparisons in all and about 2**n bytes of table plus
-    a few arrays of at most CHUNK_CELLS cells.
+    Below 8 masks (n < 3) the byte also sets bits above 2**n, which is
+    harmless where it is used: ANDed with a losing set, which has none.
     """
+    size = (1 << n) + 7 >> 3
+    if i < 3:
+        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size, "little")
+    run = 1 << i - 3
+    return int.from_bytes((bytes(run) + b"\xff" * run) * (size // (2 * run)), "little")
+
+
+def _game_losing(game: SimpleGame) -> int:
+    """Bit m set iff mask m is a subset of some maximal losing coalition."""
+    n = game.n
     if n > MAX_PLAYERS:
         raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
-    h = (n + 1) // 2
-    table = np.ones((1 << (n - h), 1 << h), dtype=bool)
-    step = max(1, CHUNK_CELLS >> h)
-    for start in range(0, len(parts), step):
-        chunk = parts[start : start + step]
-        weights = np.array([p.weights for p in chunk], dtype=np.int64)
-        quotas = np.array([[p.quota] for p in chunk], dtype=np.int64)
-        lo = _subset_sums(weights[:, :h])
-        need = quotas - _subset_sums(weights[:, h:])
-        for r, row in enumerate(table):
-            row &= (lo >= need[:, r : r + 1]).all(axis=0)
-    return table.reshape(-1)
+    marked = bytearray((1 << n) + 7 >> 3)
+    for t in game.maximal_losing:
+        if t.mask >> n:
+            raise PlayerOutOfRange(f"{t} does not fit into {n} players")
+        marked[t.mask >> 3] |= 1 << (t.mask & 7)
+    losing = int.from_bytes(marked, "little")
+    for i in range(n):
+        # each marked mask also marks itself without player i + 1
+        losing |= (losing & _holders(n, i)) >> (1 << i)
+    return losing
 
 
-def weighted_game_table(wg: WeightedGame) -> np.ndarray:
+def _part_losing(part: WeightedGame) -> int:
+    """Bit m set iff the members of mask m weigh less than the part's quota.
+
+    below(i, x), the masks of players 1..i that weigh less than x, is empty
+    for x <= 0, everything for x above the players' total, and otherwise
+    below(i - 1, x) | below(i - 1, x - w_i) << 2**(i - 1).  Every x between
+    two subset sums of players 1..i gives the same set, so on the low levels
+    (2i <= n) x is moved up to the next subset sum.  Level i then holds at
+    most min(2**i + 1, 2**(n - i)) states, and each costs 2**i bits.
+    """
+    weights = part.weights
+    n = len(weights)
+    if n > MAX_PLAYERS:
+        raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
+    totals = list(accumulate(weights, initial=0))
+    sums: dict[int, list[int]] = {}
+    memo: dict[tuple[int, int], int] = {}
+
+    def below(i: int, x: int) -> int:
+        if x <= 0:
+            return 0
+        if x > totals[i]:
+            return (1 << (1 << i)) - 1
+        if 2 * i <= n and totals[i] >= 1 << i:
+            if i not in sums:
+                subset = [0]
+                for w in weights[:i]:
+                    subset += [s + w for s in subset]
+                sums[i] = sorted(set(subset))
+            x = sums[i][bisect_left(sums[i], x)]
+        key = (i, x)
+        bits = memo.get(key)
+        if bits is None:
+            low, high = below(i - 1, x), below(i - 1, x - weights[i - 1])
+            bits = memo[key] = low | high << (1 << i - 1)
+        return bits
+
+    bits = below(n, part.quota)
+    # below refers to itself; unbound, the memo goes now rather than at the
+    # next garbage collection
+    del below
+    return bits
+
+
+def _parts_losing(parts: tuple[WeightedGame, ...]) -> int:
+    """Bit m set iff mask m loses at least one of the parts."""
+    losing = 0
+    for part in parts:
+        losing |= _part_losing(part)
+    return losing
+
+
+def _winning_table(n: int, losing: int) -> numpy.ndarray:
+    """The bool table of the masks whose bit is clear, indexed by mask."""
+    import numpy as np
+
+    raw = np.frombuffer(losing.to_bytes((1 << n) + 7 >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=1 << n, bitorder="little") == 0
+
+
+def simple_game_table(game: SimpleGame) -> numpy.ndarray:
+    """Winning truth table over all 2**n coalitions, indexed by mask."""
+    return _winning_table(game.n, _game_losing(game))
+
+
+def weighted_game_table(wg: WeightedGame) -> numpy.ndarray:
     """Winning truth table of a weighted game, indexed by mask."""
-    return _threshold_table(wg.n, (wg,))
+    return _winning_table(wg.n, _part_losing(wg))
 
 
-def decomposition_table(dec: Decomposition) -> np.ndarray:
+def decomposition_table(dec: Decomposition) -> numpy.ndarray:
     """Winning truth table of the intersection of the parts, indexed by mask."""
-    return _threshold_table(dec.n, dec.parts)
+    return _winning_table(dec.n, _parts_losing(dec.parts))
 
 
 def verify_decomposition(game: SimpleGame, dec: Decomposition) -> VerificationReport:
     """Compare the game and the intersection of the parts on every coalition.
 
-    Reports the smallest mismatching coalition (by mask) if any.
+    Both sides are losing sets held as 2**n-bit integers; the smallest
+    mismatching coalition (by mask) is the lowest bit of their difference.
     """
     if game.n != dec.n:
         raise DimensionMismatch(
             f"game has {game.n} players but decomposition has {dec.n}"
         )
-    mismatches = np.nonzero(simple_game_table(game) != decomposition_table(dec))[0]
-    first = Coalition(int(mismatches[0])) if mismatches.size else None
+    diff = _game_losing(game) ^ _parts_losing(dec.parts)
     return VerificationReport(
-        equivalent=mismatches.size == 0,
-        first_mismatch=first,
+        equivalent=not diff,
+        first_mismatch=Coalition((diff & -diff).bit_length() - 1) if diff else None,
         coalitions_checked=1 << game.n,
     )
 
@@ -187,8 +230,8 @@ def find_trade_certificate(
         raise CapExceeded(
             f"certificate search needs n <= {cap}, got {game.n}"
         )
-    wins = simple_game_table(game)
-    losing = [int(m) for m in np.nonzero(~wins)[0]]
+    lost = _game_losing(game)
+    losing = [m for m in range(1 << game.n) if lost >> m & 1]
     for i, l1 in enumerate(losing):
         for l2 in losing[i:]:
             shared = l1 & l2
@@ -197,7 +240,7 @@ def find_trade_certificate(
             while True:
                 w1 = shared | sub
                 w2 = shared | (diff ^ sub)
-                if wins[w1] and wins[w2]:
+                if not (lost >> w1 | lost >> w2) & 1:
                     return TradeCertificate(
                         losing_pair=(Coalition(l1), Coalition(l2)),
                         winning_pair=(

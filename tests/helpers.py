@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 from functools import reduce
 from itertools import combinations
 from operator import xor
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -72,3 +74,24 @@ def secded_games(draw, max_n=12) -> SimpleGame:
     n = draw(st.integers(4, max_n))
     w = draw(st.sampled_from([w for w in range(3, n) if secded_family(n, w)]))
     return validate_game(n, secded_family(n, w))
+
+
+def write_hostile_verify_files(directory: Path) -> tuple[Path, Path]:
+    """An n=24 game file and a decomposition file that does not match it.
+
+    The decomposition has five parts with seeded random weights below 2**40,
+    each with half its total as quota: nothing like the tiered parts the
+    tool writes, and with about 2**24 distinct subset sums per part.
+    """
+    rng = random.Random(24)
+    parts = []
+    for _ in range(5):
+        weights = [rng.randrange(1 << 40) for _ in range(24)]
+        parts.append({"quota": sum(weights) // 2, "weights": weights})
+    halves = [list(range(1, 13)), list(range(13, 25))]
+    game, dec = directory / "hostile_game.json", directory / "hostile_dec.json"
+    game.write_text(json.dumps({"n": 24, "maximal_losing": halves}))
+    dec.write_text(
+        json.dumps({"n": 24, "method": "covering", "part_count": 5, "parts": parts})
+    )
+    return game, dec

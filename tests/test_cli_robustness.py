@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import reduce_to_maximal
+from helpers import reduce_to_maximal, write_hostile_verify_files
 from simplegames import Coalition
 from simplegames.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
 from simplegames.core import MAX_PLAYERS
@@ -89,13 +89,13 @@ def cli_files(draw) -> tuple[object, object, object]:
     return game, code, dec
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert time.perf_counter() - start < 10, argv
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @settings(
@@ -120,10 +120,22 @@ def test_arbitrary_json_files_end_in_a_defined_exit_code(files):
             ["verify", str(game), str(dec)],
         ]
         for argv in commands:
-            rc, err = run(argv)
+            rc, _, err = run(argv)
             assert rc in (EXIT_OK, EXIT_INPUT, EXIT_MISMATCH), (argv, err)
             assert "Traceback" not in err
             if rc == EXIT_INPUT:
                 assert len(err.splitlines()) == 1 and err.startswith("error:")
             if rc == EXIT_OK and argv[0] == "decompose":
-                assert run(["verify", str(game), str(out)]) == (EXIT_OK, "")
+                rc, _, err = run(["verify", str(game), str(out)])
+                assert (rc, err) == (EXIT_OK, "")
+
+
+def test_verify_bounds_its_work_on_random_heavy_weights(tmp_path):
+    # Five n=24 parts with random weights below 2**40 and about 2**24
+    # distinct subset sums each: verify must still answer inside the bound.
+    game, dec = write_hostile_verify_files(tmp_path)
+    assert run(["verify", str(game), str(dec)]) == (
+        EXIT_MISMATCH,
+        "MISMATCH at {1, 13}: game=winning, decomposition=losing\n",
+        "",
+    )

@@ -1,10 +1,20 @@
 """Guards on the public contract: the exported names, verify's independence,
-the functions the benchmark tracer wraps and the library names tests import."""
+the functions the benchmark tracer wraps, the library names tests import,
+and a command line that runs without numpy."""
 
 import ast
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy  # noqa: F401  (loaded for the in-process run to compare with)
+
 import simplegames
+from simplegames.cli import main
 
 PUBLIC_NAMES = [
     "MAX_PLAYERS",
@@ -94,3 +104,88 @@ def test_tests_import_only_public_names_from_the_library():
                     if a.name not in allowed and not a.name.isupper()
                 ]
     assert not offenders
+
+
+# Runs each command line given as JSON in argv[1] through the CLI with numpy
+# unimportable, and prints the exit codes and stdout as JSON.
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from simplegames.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def cli_commands(work: Path) -> list[list[str]]:
+    """Every command on a small game, writing its outputs into work."""
+    work.mkdir()
+    game, wrong = work / "game.json", work / "wrong.json"
+    game.write_text(json.dumps({"n": 4, "maximal_losing": [[1, 3], [1, 4], [2, 3], [2, 4]]}))
+    wrong.write_text(
+        json.dumps(
+            {
+                "n": 4,
+                "method": "covering",
+                "part_count": 1,
+                "parts": [{"quota": 2, "weights": [1, 1, 2, 0]}],
+            }
+        )
+    )
+    decompose = ["decompose", str(game), "--method"]
+    return [
+        ["bounds", "9"],
+        ["cover", "--full", "7", "--output", str(work / "full7.json")],
+        ["cover", str(game), "--output", str(work / "cover.json")],
+        decompose + ["taylor-zwicker", "--output", str(work / "tz.json")],
+        decompose + ["covering", "--output", str(work / "covering.json")],
+        decompose + ["covering", "--full-code", "--output", str(work / "full.json")],
+        decompose + ["pairing", "--output", str(work / "pairing.json")],
+        ["verify", str(game), str(work / "covering.json")],
+        ["verify", str(game), str(wrong)],
+    ]
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    src = str(Path(simplegames.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(cli_commands(tmp_path / "child"))],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    expected = []
+    for argv in cli_commands(tmp_path / "local"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            expected.append([main(argv), out.getvalue()])
+    assert json.loads(child.stdout) == expected
+    assert [rc for rc, _ in expected] == [0] * 8 + [3]
+    written = sorted(p.name for p in (tmp_path / "local").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "child").iterdir())
+    for name in written:
+        assert (tmp_path / "child" / name).read_bytes() == (
+            tmp_path / "local" / name
+        ).read_bytes()
+
+
+def test_numpy_is_imported_only_by_the_table_adapter():
+    importers = []
+    for path in sorted(Path(simplegames.__file__).parent.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "numpy" for m in modules):
+                    importers.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert importers == ["verify._winning_table"]

@@ -186,7 +186,7 @@ def test_weighted_game_rejects_negative_values():
     ids=["float", "bool", "beyond-int64", "above-bound", "string"],
 )
 def test_weighted_game_accepts_only_integers_up_to_the_bound(value):
-    # Floats would be truncated and huge ints overflow in verify's int64 sums.
+    # Only ints up to the loader's bound: no bools, floats or larger values.
     with pytest.raises(ValueError):
         WeightedGame(value, (1, 1))
     with pytest.raises(ValueError):

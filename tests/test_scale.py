@@ -7,7 +7,8 @@ part per center and is equivalent to the game on all 2**16 coalitions.
 
 The full-cube cover of 20 players: writing its 65 536 centers stays within
 a fixed memory margin of a command that loads the package and does nothing
-else.
+else.  Verifying five n=24 parts with random heavy weights stays under a
+fixed peak.
 """
 
 import os
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import simplegames
+from helpers import write_hostile_verify_files
 from simplegames import (
     Coalition,
     decompose_covering,
@@ -58,7 +60,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def cli_max_rss_mib(*argv: str, cwd: Path) -> float:
+def cli_max_rss_mib(*argv: str, cwd: Path, status: int = 0) -> float:
     src = str(Path(simplegames.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
@@ -70,7 +72,7 @@ def cli_max_rss_mib(*argv: str, cwd: Path) -> float:
         check=True,
     ).stdout
     code, kib = map(int, out.split())
-    assert code == 0
+    assert code == status
     return kib / 1024
 
 
@@ -80,3 +82,16 @@ def test_cover_full_20_memory_stays_near_start_up(tmp_path):
     cover = cli_max_rss_mib("cover", "--full", "20", "--output", "c.json", cwd=tmp_path)
     assert (tmp_path / "c.json").stat().st_size > 0
     assert cover - baseline < COVER_FULL_20_MARGIN_MIB
+
+
+# Peak RSS of `verify` on the five random n=24 parts, in MiB.  Holding the
+# 2**n-cell tables took 154.5 MiB; the bitset kernel stays near 55 MiB, and
+# a per-part memo kept alive until garbage collection reached 174 MiB.
+HOSTILE_VERIFY_MAX_MIB = 160
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_verify_of_random_heavy_parts_stays_under_a_fixed_peak(tmp_path):
+    game, dec = write_hostile_verify_files(tmp_path)
+    peak = cli_max_rss_mib("verify", str(game), str(dec), cwd=tmp_path, status=3)
+    assert peak < HOSTILE_VERIFY_MAX_MIB

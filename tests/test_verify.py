@@ -25,7 +25,12 @@ from simplegames import (
     weighted_game_table,
     weighted_is_winning,
 )
-from simplegames.errors import CapExceeded, DimensionMismatch, UnbalancedTrade
+from simplegames.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    PlayerOutOfRange,
+    UnbalancedTrade,
+)
 
 WEIGHTED_2_1120 = WeightedGame(2, (1, 1, 2, 0))
 
@@ -69,6 +74,17 @@ def test_tables_refuse_more_than_max_players_before_allocating():
         simple_game_table(SimpleGame(n, (Coalition(0),)))
     with pytest.raises(CapExceeded):
         weighted_game_table(WeightedGame(1, (1,) * n))
+
+
+@pytest.mark.parametrize("n, mask", [(2, 0b101), (4, 1 << 9)])
+def test_tables_refuse_coalitions_beyond_n(n, mask):
+    # Built directly, so validate_game's range check does not apply.  A
+    # mask below the next whole byte must not slip into the table either.
+    game = SimpleGame(n, (Coalition(mask),))
+    with pytest.raises(PlayerOutOfRange):
+        simple_game_table(game)
+    with pytest.raises(PlayerOutOfRange):
+        verify_decomposition(game, Decomposition(n, (WeightedGame(0, (1,) * n),)))
 
 
 # ------------------------------------------------------- verify_decomposition

@@ -1,12 +1,14 @@
 """Differential tests: the verify truth tables against the plain numpy builders.
 
-The oracles below are the original implementations, one fancy-indexed
-zeta pass per player and one full 2**n sum array per weighted part.  The
-kernels in ``simplegames.verify`` must reproduce them bit for bit.
+The oracles below are earlier implementations: one fancy-indexed zeta pass
+per player and one full 2**n sum array per weighted part, and the chunked
+meet-in-the-middle tables that verify used before its losing sets became
+2**n-bit integers.  The kernels in ``simplegames.verify`` must reproduce
+them bit for bit, and ``verify_decomposition`` must report the same
+smallest mismatch.
 """
 
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from hypothesis import strategies as st
 
 from simplegames import verify
 from simplegames.core import (
+    MAX_PLAYERS,
     MAX_WEIGHT,
     Coalition,
     Decomposition,
     SimpleGame,
     WeightedGame,
 )
+from simplegames.errors import CapExceeded
 
 
 # -------------------------------------------------------------------- oracles
@@ -55,12 +59,79 @@ def oracle_decomposition_table(dec: Decomposition) -> np.ndarray:
     return table
 
 
+# Half-sum cells (parts times 2**ceil(n/2)) the threshold tables hold at once;
+# larger chunks save little time and raise peak memory.
+CHUNK_CELLS = 1 << 14
+
+
+def numpy_simple_game_table(game: SimpleGame) -> np.ndarray:
+    """Winning truth table over all 2**n coalitions, indexed by mask."""
+    if game.n > MAX_PLAYERS:
+        raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {game.n}")
+    losing = np.zeros(1 << game.n, dtype=bool)
+    losing[[t.mask for t in game.maximal_losing]] = True
+    for i in range(game.n):
+        # pairs[:, 0] holds the masks without player i + 1, pairs[:, 1] the
+        # same masks with it; after all passes losing[m] iff m is a submask
+        # of a marked mask
+        pairs = losing.reshape(-1, 2, 1 << i)
+        pairs[:, 0] |= pairs[:, 1]
+    return ~losing
+
+
+def numpy_subset_sums(weights: np.ndarray) -> np.ndarray:
+    """Row r, column m: the sum of weights[r, i] over the bits i of m."""
+    rows, count = weights.shape
+    sums = np.zeros((rows, 1 << count), dtype=np.int64)
+    for i in range(count):
+        bit = 1 << i
+        np.add(sums[:, :bit], weights[:, i : i + 1], out=sums[:, bit : 2 * bit])
+    return sums
+
+
+def numpy_threshold_table(n: int, parts: tuple[WeightedGame, ...]) -> np.ndarray:
+    """Truth table of the intersection of weighted games, indexed by mask.
+
+    Meet in the middle: a mask is a column (its low h bits) and a row (the
+    rest), and it wins a part iff lo[column] >= quota - hi[row], with lo and
+    hi the subset sums of the part's low and high weights.  Each row of the
+    table is then one vectorised comparison per chunk of parts, for
+    parts * 2**n comparisons in all and about 2**n bytes of table plus
+    a few arrays of at most CHUNK_CELLS cells.
+    """
+    if n > MAX_PLAYERS:
+        raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
+    h = (n + 1) // 2
+    table = np.ones((1 << (n - h), 1 << h), dtype=bool)
+    step = max(1, CHUNK_CELLS >> h)
+    for start in range(0, len(parts), step):
+        chunk = parts[start : start + step]
+        weights = np.array([p.weights for p in chunk], dtype=np.int64)
+        quotas = np.array([[p.quota] for p in chunk], dtype=np.int64)
+        lo = numpy_subset_sums(weights[:, :h])
+        need = quotas - numpy_subset_sums(weights[:, h:])
+        for r, row in enumerate(table):
+            row &= (lo >= need[:, r : r + 1]).all(axis=0)
+    return table.reshape(-1)
+
+
+def game_of(n: int, table: np.ndarray) -> SimpleGame:
+    """The family of maximal losing masks of a monotone winning table."""
+    losing = ~table
+    maximal = losing.copy()
+    idx = np.arange(1 << n)
+    for i in range(n):
+        without = idx[(idx >> i & 1) == 0]
+        maximal[without] &= ~losing[without | 1 << i]
+    return SimpleGame(n, tuple(Coalition(int(m)) for m in np.nonzero(maximal)[0]))
+
+
+def first_mismatch(game_table: np.ndarray, dec_table: np.ndarray):
+    mismatches = np.nonzero(game_table != dec_table)[0]
+    return Coalition(int(mismatches[0])) if mismatches.size else None
+
+
 # ----------------------------------------------------------------- strategies
-
-
-def chunk_parts(n: int) -> int:
-    """Parts per chunk of the threshold kernel at n players."""
-    return max(1, verify.CHUNK_CELLS >> (n + 1) // 2)
 
 
 # Mostly small values, so that quotas land inside the range of the sums,
@@ -75,11 +146,47 @@ def parts_of(draw, n: int, count: int) -> tuple[WeightedGame, ...]:
 
 
 @st.composite
+def heavy_parts_of(draw, n: int, count: int) -> tuple[WeightedGame, ...]:
+    """Parts whose player i weighs at least 2**i on the low half of the players.
+
+    Those are the levels where the kernel moves a quota up to the next
+    subset sum.  Each quota is the weight of a random coalition, give or
+    take one, so that it often equals a subset sum on the way down.
+    """
+    parts = []
+    for _ in range(count):
+        weights = tuple(
+            draw(st.integers(1 << i, (1 << i) + 3) | st.integers(1 << i, MAX_WEIGHT >> 6))
+            if 2 * i <= n
+            else draw(values)
+            for i in range(1, n + 1)
+        )
+        mask = draw(st.integers(0, (1 << n) - 1))
+        quota = sum(w for i, w in enumerate(weights) if mask >> i & 1)
+        quota += draw(st.sampled_from([-1, 0, 0, 1]))
+        parts.append(WeightedGame(min(max(quota, 0), MAX_WEIGHT), weights))
+    return tuple(parts)
+
+
+@st.composite
 def families(draw) -> SimpleGame:
     """Any family of masks, antichain or not; the table only needs subsets."""
     n = draw(st.integers(1, 12))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
     return SimpleGame(n, tuple(Coalition(m) for m in masks))
+
+
+@st.composite
+def games_and_decompositions(draw) -> tuple[SimpleGame, Decomposition]:
+    """A decomposition, and either its own game or a family of any masks."""
+    n = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 4))
+    parts = draw(heavy_parts_of(n, count) | parts_of(n, count))
+    dec = Decomposition(n, parts)
+    if draw(st.booleans()):
+        return game_of(n, oracle_decomposition_table(dec)), dec
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    return SimpleGame(n, tuple(Coalition(m) for m in masks)), dec
 
 
 # ---------------------------------------------------------------- differences
@@ -88,50 +195,107 @@ def families(draw) -> SimpleGame:
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_simple_game_table_matches_oracle(game):
-    assert np.array_equal(
-        verify.simple_game_table(game), oracle_simple_game_table(game)
-    )
+    table = verify.simple_game_table(game)
+    assert table.dtype == bool and table.shape == (1 << game.n,)
+    assert np.array_equal(table, oracle_simple_game_table(game))
+    assert np.array_equal(table, numpy_simple_game_table(game))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: parts_of(n, 1)))
+@given(st.integers(1, 12).flatmap(lambda n: parts_of(n, 1) | heavy_parts_of(n, 1)))
 def test_weighted_game_table_matches_oracle(parts):
     (wg,) = parts
-    assert np.array_equal(
-        verify.weighted_game_table(wg), oracle_weighted_game_table(wg)
-    )
+    table = verify.weighted_game_table(wg)
+    assert table.dtype == bool and table.shape == (1 << wg.n,)
+    assert np.array_equal(table, oracle_weighted_game_table(wg))
 
 
-@st.composite
-def chunked_decompositions(draw):
-    """A decomposition and a chunk size, with part counts around the chunk.
-
-    The chunk is shrunk to 1..3 parts so that every boundary case stays
-    cheap for the oracle.
-    """
-    n = draw(st.integers(1, 12))
-    per_chunk = draw(st.integers(1, 3))
-    count = draw(
-        st.sampled_from([per_chunk - 1, per_chunk, per_chunk + 1, 3 * per_chunk + 1])
-    )
-    parts = draw(parts_of(n, max(1, count)))
-    return per_chunk << (n + 1) // 2, Decomposition(n, parts)
+@settings(max_examples=150, deadline=None)
+@given(games_and_decompositions())
+def test_decomposition_table_and_report_match_oracles(case):
+    game, dec = case
+    expected = numpy_threshold_table(dec.n, dec.parts)
+    assert np.array_equal(expected, oracle_decomposition_table(dec))
+    assert np.array_equal(verify.decomposition_table(dec), expected)
+    report = verify.verify_decomposition(game, dec)
+    mismatch = first_mismatch(numpy_simple_game_table(game), expected)
+    assert report.first_mismatch == mismatch
+    assert report.equivalent == (mismatch is None)
+    assert report.coalitions_checked == 1 << dec.n
 
 
-@settings(max_examples=120, deadline=None)
-@given(chunked_decompositions())
-def test_decomposition_table_matches_oracle_across_chunks(case):
-    cells, dec = case
-    with mock.patch.object(verify, "CHUNK_CELLS", cells):
-        got = verify.decomposition_table(dec)
-    assert np.array_equal(got, oracle_decomposition_table(dec))
+# --------------------------------------------------------------------- edges
+
+
+def small_parts(n: int):
+    """Every part on n players with weights 0..2 and every quota up to total + 1."""
+    weights = [()]
+    for _ in range(n):
+        weights = [w + (v,) for w in weights for v in range(3)]
+    return [WeightedGame(q, w) for w in weights for q in range(sum(w) + 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tables_shorter_than_a_byte(n):
+    # 2**n bits fit in one byte: the tables must hold exactly 2**n cells.
+    for family in range(1 << (1 << n)):
+        masks = [m for m in range(1 << n) if family >> m & 1]
+        game = SimpleGame(n, tuple(Coalition(m) for m in masks))
+        table = verify.simple_game_table(game)
+        assert table.shape == (1 << n,)
+        assert np.array_equal(table, oracle_simple_game_table(game))
+    for part in small_parts(n):
+        table = verify.weighted_game_table(part)
+        assert table.shape == (1 << n,)
+        assert np.array_equal(table, oracle_weighted_game_table(part))
+        dec = Decomposition(n, (part,))
+        game = game_of(n, table)
+        assert verify.verify_decomposition(game, dec).equivalent
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+def test_quota_zero_above_the_total_and_zero_weights(n):
+    rng = random.Random(500 + n)
+    weights = tuple(rng.choice([0, 1, 5, MAX_WEIGHT >> 5]) for _ in range(n))
+    total = sum(weights)
+    everything = np.ones(1 << n, dtype=bool)
+    cases = [
+        (WeightedGame(0, weights), everything),
+        (WeightedGame(0, (0,) * n), everything),
+        (WeightedGame(total + 1, weights), ~everything),
+        (WeightedGame(1, (0,) * n), ~everything),
+        (WeightedGame(total, weights), oracle_weighted_game_table(WeightedGame(total, weights))),
+    ]
+    for part, expected in cases:
+        assert np.array_equal(verify.weighted_game_table(part), expected), part
+    # The game loses only on the empty coalition and the part everywhere, so
+    # the smallest mismatch is {1}.
+    game = SimpleGame(n, (Coalition(0),))
+    report = verify.verify_decomposition(game, Decomposition(n, (WeightedGame(total + 1, weights),)))
+    assert report.first_mismatch == Coalition(1)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_every_quota_at_the_last_snapped_level(n):
+    # Players 1..n/2 weigh at least 2**i and sum to at least 2**(n/2), so the
+    # kernel moves quotas to subset sums down to level i = n/2 (2i = n) and
+    # no further.  Two subsets of the low players share the sum 16.
+    low = (3, 4, 9, 16, 33)[: n // 2]
+    high = tuple(random.Random(n).randint(0, 6) for _ in range(n - n // 2))
+    weights = low + high
+    for quota in range(sum(weights) + 2):
+        part = WeightedGame(quota, weights)
+        table = verify.weighted_game_table(part)
+        assert np.array_equal(table, oracle_weighted_game_table(part)), quota
+        dec = Decomposition(n, (part,))
+        assert verify.verify_decomposition(game_of(n, table), dec).equivalent
 
 
 def random_parts(n: int, count: int, rng: random.Random) -> tuple[WeightedGame, ...]:
     """Parts that each reject the light subsets of their own random coalition.
 
     Every part removes a different region of the cube, so a part dropped or
-    misread in any chunk changes the intersection.
+    misread changes the intersection.
     """
     parts = []
     for _ in range(count):
@@ -139,23 +303,6 @@ def random_parts(n: int, count: int, rng: random.Random) -> tuple[WeightedGame, 
         weights = tuple(0 if inside >> i & 1 else rng.randint(1, 3) for i in range(n))
         parts.append(WeightedGame(rng.randint(0, 3), weights))
     return tuple(parts)
-
-
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_decomposition_table_at_the_real_chunk_size(offset):
-    # Quota-0 parts win everywhere; the real parts sit on both sides of the
-    # chunk boundary and at the end, so each one shows in the table.
-    n = 12
-    per_chunk = chunk_parts(n)
-    count = per_chunk + offset
-    rng = random.Random(1200 + offset)
-    parts = [WeightedGame(0, (1,) * n)] * count
-    for i in {0, per_chunk - 1, per_chunk, count - 1} & set(range(count)):
-        (parts[i],) = random_parts(n, 1, rng)
-    dec = Decomposition(n, tuple(parts))
-    assert np.array_equal(
-        verify.decomposition_table(dec), oracle_decomposition_table(dec)
-    )
 
 
 @pytest.mark.parametrize("n", [17, 19])
