@@ -140,14 +140,14 @@ def save_decomposition(dec: Decomposition, method: str, path: str) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    if args.method != "covering" and (args.cover or args.full_code):
+    if args.method != "covering" and (args.cover is not None or args.full_code):
         raise ValueError("--cover/--full-code only apply to --method covering")
     game = load_game(args.input)
     if args.method == "taylor-zwicker":
         dec = taylor_zwicker(game)
         bound, note = len(game.maximal_losing), "maximal losing coalitions"
     elif args.method == "covering":
-        if args.cover:
+        if args.cover is not None:
             code = load_code(args.cover)
             if code.n != game.n:
                 raise ValueError(

@@ -12,8 +12,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from importlib import resources
 from typing import Iterable
 
 from .core import MAX_PLAYERS, Coalition, hamming_distance
@@ -22,8 +20,22 @@ from .errors import MOutOfRange, PlayerOutOfRange
 HAMMING_MIN_M = 2
 HAMMING_MAX_M = 4
 
-BOUNDS_TABLE_MIN_N = 6
-BOUNDS_TABLE_MAX_N = 15
+# Known lower and upper bounds on the maximum dimension of an n-player
+# simple game, keyed by n.
+_KNOWN_BOUNDS = {
+    6: (4, 12),
+    7: (7, 16),
+    8: (14, 32),
+    9: (18, 62),
+    10: (36, 120),
+    11: (66, 192),
+    12: (132, 380),
+    13: (166, 704),
+    14: (325, 1408),
+    15: (585, 2048),
+}
+BOUNDS_TABLE_MIN_N = min(_KNOWN_BOUNDS)
+BOUNDS_TABLE_MAX_N = max(_KNOWN_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -54,7 +66,7 @@ class BoundsReport:
     C(n, floor(n/2)) / n; ``kn_exact`` is the minimum covering-code size
     when a closed form exists (n = 2**m - 1 or n = 2**m), else None;
     ``kn_upper_log`` is the dominating-set upper bound
-    (ln(n+1) + 1) * 2**n / (n+1); ``known_bounds_row`` carries the bundled
+    (ln(n+1) + 1) * 2**n / (n+1); ``known_bounds_row`` carries the
     known (lower, upper) dimension bounds for 6 <= n <= 15.
     """
 
@@ -159,19 +171,6 @@ def covering_radius_at_most(code: Code, targets: Iterable[Coalition], r: int) ->
     )
 
 
-@cache
-def _bounds_table() -> dict[int, tuple[int, int]]:
-    text = resources.files("simplegames").joinpath("data/dimension_bounds.txt").read_text()
-    table: dict[int, tuple[int, int]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        n, lower, upper = (int(tok) for tok in line.split())
-        table[n] = (lower, upper)
-    return table
-
-
 def bounds_report(n: int) -> BoundsReport:
     """Collect every bound this package knows for length n (1 <= n <= 63)."""
     if type(n) is not int or not 1 <= n <= 63:
@@ -191,5 +190,5 @@ def bounds_report(n: int) -> BoundsReport:
         lower_bound_formula=Fraction(sperner, n),
         kn_exact=kn_exact,
         kn_upper_log=kn_upper_log,
-        known_bounds_row=_bounds_table().get(n),
+        known_bounds_row=_KNOWN_BOUNDS.get(n),
     )

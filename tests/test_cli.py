@@ -169,6 +169,16 @@ def test_decompose_rejects_cover_flag_on_other_methods(four_player_file, tmp_pat
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("method", ["covering", "pairing"])
+def test_decompose_rejects_empty_cover_path(four_player_file, tmp_path, capsys, method):
+    # An empty --cover value is a path to reject, not an absent flag.
+    out = tmp_path / "dec.json"
+    argv = ["decompose", str(four_player_file), "--method", method, "--cover", ""]
+    assert main(argv + ["--output", str(out)]) == EXIT_INPUT
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_decompose_rejects_non_covering_cover(four_player_file, tmp_path):
     cover = tmp_path / "cover.json"
     cover.write_text(json.dumps({"n": 4, "centers": [[]]}))

@@ -175,6 +175,27 @@ def test_cli_runs_without_numpy(tmp_path):
         ).read_bytes()
 
 
+# Appended to WITHOUT_NUMPY: prints which of these modules the commands loaded.
+LOADED = """
+print(json.dumps([m for m in ("numpy", "importlib.resources") if sys.modules.get(m)]))
+"""
+
+
+def test_commands_load_only_the_standard_library(tmp_path):
+    # -S skips site, whose .pth files may import modules of their own.
+    commands = json.dumps(cli_commands(tmp_path / "child"))
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", WITHOUT_NUMPY + LOADED, commands],
+        env=dict(os.environ, PYTHONPATH=str(Path(simplegames.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    results, loaded = map(json.loads, child.stdout.splitlines())
+    assert [rc for rc, _ in results] == [0] * 8 + [3]
+    assert loaded == []
+
+
 def test_numpy_is_imported_only_by_the_table_adapter():
     importers = []
     for path in sorted(Path(simplegames.__file__).parent.glob("*.py")):
