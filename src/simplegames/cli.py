@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .codes import Code, bounds_report, full_cover, greedy_cover
 from .core import (
@@ -45,7 +44,8 @@ METHODS = ("taylor-zwicker", "covering", "pairing")
 
 def _load_json(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
     except (ValueError, RecursionError) as exc:
         # Decode errors, bad UTF-8, oversized integers and deep nesting.
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
@@ -54,11 +54,32 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _save_json(obj: dict, path: str) -> None:
-    # Streamed: the text of a large code file is never held whole in memory.
+# Output files are json.dumps(obj, indent=2) + "\n" and end in a list.  The C
+# encoder serves only indent=None, so its items are rendered here, in blocks.
+_BLOCK = 4096
+_PART = '    {\n      "quota": %d,\n      "weights": [\n        %s\n      ]\n    }'
+
+
+def _save_object(path: str, fields: dict, key: str, items, render) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps({**fields, key: []}, indent=2)[:-4] + "[")  # cut "[]\n}"
+        for start in range(0, len(items), _BLOCK):
+            block = ",\n".join(map(render, items[start : start + _BLOCK]))
+            f.write((",\n" if start else "\n") + block)
+        f.write("\n  ]\n}\n" if items else "]\n}\n")
+
+
+def _save_coalitions(path: str, n: int, key: str, coalitions) -> None:
+    # tables[k][b]: ",\n      p" per player p = 8k + i + 1, bit i of b; n <= 24.
+    lo, mid, hi = tables = [[""], [""], [""]]
+    for p in range(24):
+        tables[p >> 3] += [f"{s},\n      {p + 1}" for s in tables[p >> 3]]
+
+    def render(c: Coalition) -> str:
+        body = lo[c.mask & 255] + mid[c.mask >> 8 & 255] + hi[c.mask >> 16]
+        return f"    [{body[1:]}\n    ]" if body else "    []"
+
+    _save_object(path, {"n": n}, key, coalitions, render)
 
 
 def _player_count(data: dict, path: str) -> int:
@@ -74,15 +95,17 @@ def _coalition_list(data: dict, key: str, path: str, n: int) -> list[Coalition]:
     raw = data.get(key)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: field '{key}' must be a list of player lists")
+    # Keys are the ints 1..n; a bad player (true, 1.0) or entry looks up None.
+    bits = {p: 1 << (p - 1) for p in range(1, n + 1)}
     out = []
-    for entry in raw:
-        # Range-checked before any mask is built: a huge player number
-        # would make a huge mask.
-        if not isinstance(entry, list) or not all(
-            type(p) is int and 1 <= p <= n for p in entry
-        ):
-            raise ValueError(f"{path}: '{key}' entries must be lists of players 1..{n}")
-        out.append(Coalition.from_players(entry))
+    try:
+        for entry in raw:
+            mask = 0
+            for p in entry if isinstance(entry, list) else [None]:
+                mask |= bits[p if type(p) is int else None]
+            out.append(Coalition(mask))
+    except KeyError:
+        raise ValueError(f"{path}: '{key}' entries must be lists of players 1..{n}")
     return out
 
 
@@ -93,10 +116,7 @@ def load_game(path: str) -> SimpleGame:
 
 
 def save_game(game: SimpleGame, path: str) -> None:
-    _save_json(
-        {"n": game.n, "maximal_losing": [list(c.players) for c in game.maximal_losing]},
-        path,
-    )
+    _save_coalitions(path, game.n, "maximal_losing", game.maximal_losing)
 
 
 def load_code(path: str) -> Code:
@@ -106,7 +126,7 @@ def load_code(path: str) -> Code:
 
 
 def save_code(code: Code, path: str) -> None:
-    _save_json({"n": code.n, "centers": [list(c.players) for c in code.centers]}, path)
+    _save_coalitions(path, code.n, "centers", code.centers)
 
 
 def load_decomposition(path: str) -> Decomposition:
@@ -130,10 +150,11 @@ def load_decomposition(path: str) -> Decomposition:
 
 
 def save_decomposition(dec: Decomposition, method: str, path: str) -> None:
-    parts = [{"quota": p.quota, "weights": list(p.weights)} for p in dec.parts]
-    _save_json(
-        {"n": dec.n, "method": method, "part_count": len(parts), "parts": parts}, path
-    )
+    def render(p: WeightedGame) -> str:
+        return _PART % (p.quota, ",\n        ".join(map(str, p.weights)))
+
+    fields = {"n": dec.n, "method": method, "part_count": len(dec.parts)}
+    _save_object(path, fields, "parts", dec.parts, render)
 
 
 # ----------------------------------------------------------------- commands
@@ -179,19 +200,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_cover(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.full is None):
         raise ValueError("give either a game file or --full N")
-    if args.full is not None:
+    if args.full is None:
+        game = load_game(args.input)
+        code = greedy_cover(game.n, game.maximal_losing)
+    else:
         code = full_cover(args.full)
-        save_code(code, args.output)
-        print(f"centers: {len(code)}")
+    save_code(code, args.output)
+    print(f"centers: {len(code)}")
+    if args.full is not None:
         report = bounds_report(args.full)
         known = report.kn_exact if report.kn_exact is not None else "unknown"
         print(f"known-minimum: {known}")
         print(f"log-upper-bound: {float(report.kn_upper_log):.2f}")
-    else:
-        game = load_game(args.input)
-        code = greedy_cover(game.n, game.maximal_losing)
-        save_code(code, args.output)
-        print(f"centers: {len(code)}")
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ MAX_PLAYERS = 24
 MAX_WEIGHT = 1 << 58
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Coalition:
     """A set of players stored as a bit mask (player i on bit i-1)."""
 

@@ -175,8 +175,13 @@ def test_decompose_rejects_empty_cover_path(four_player_file, tmp_path, capsys, 
     out = tmp_path / "dec.json"
     argv = ["decompose", str(four_player_file), "--method", method, "--cover", ""]
     assert main(argv + ["--output", str(out)]) == EXIT_INPUT
-    assert_one_error_line(capsys)
+    line = assert_one_error_line(capsys)
     assert not out.exists()
+    if method == "covering":
+        # The line names the empty path given, not the current directory.
+        assert "''" in line and "'.'" not in line
+    else:
+        assert "--cover" in line
 
 
 def test_decompose_rejects_non_covering_cover(four_player_file, tmp_path):
@@ -335,6 +340,7 @@ def assert_one_error_line(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
 
 
 @pytest.mark.parametrize(

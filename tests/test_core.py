@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -39,6 +40,19 @@ def test_coalition_players_round_trip():
     assert len(c) == 3
     assert 3 in c and 2 not in c
     assert Coalition.from_players(c.players) == c
+
+
+def test_coalition_is_slotted_and_frozen():
+    # Slots keep the per-coalition memory down: a full-cube code holds
+    # hundreds of thousands of them.
+    c = Coalition.of(1, 3)
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.mask = 1
+    assert c == Coalition(0b101) and hash(c) == hash(Coalition(0b101))
+    assert c != Coalition.of(1)
+    assert sorted([Coalition(6), c, Coalition(0)]) == [Coalition(0), c, Coalition(6)]
+    assert Coalition.of(1) < Coalition.of(2) < Coalition.of(1, 2)
 
 
 def test_coalition_rejects_bad_players():
