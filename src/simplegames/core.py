@@ -162,11 +162,41 @@ class Decomposition:
                 )
 
 
+def _holders(n: int, i: int) -> int:
+    """Bits of the masks that hold player i + 1, over whole bytes of masks.
+
+    Below 8 masks (n < 3) the byte also sets bits above 2**n, which is
+    harmless where it is used: ANDed with a set of masks below 2**n, then
+    shifted down.
+    """
+    size = (1 << n) + 7 >> 3
+    if i < 3:
+        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size, "little")
+    run = 1 << i - 3
+    return int.from_bytes((bytes(run) + b"\xff" * run) * (size // (2 * run)), "little")
+
+
+def _subsets(n: int, masks: Iterable[int]) -> tuple[int, int]:
+    """Every subset of the masks, and the masks strictly inside another, as bitsets."""
+    marked = bytearray((1 << n) + 7 >> 3)
+    for m in masks:
+        marked[m >> 3] |= 1 << (m & 7)
+    family = closed = int.from_bytes(marked, "little")
+    below = 0
+    for i in range(n):
+        # drop player i + 1 from every subset found so far
+        dropped = (closed & _holders(n, i)) >> (1 << i)
+        closed |= dropped
+        below |= dropped
+    return closed, family & below
+
+
 def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
     """Check and canonicalize a family of maximal losing coalitions.
 
-    Exact duplicates are dropped silently; the result lists coalitions in
-    ascending mask order.
+    Exact duplicates are dropped silently; the result holds the given
+    coalitions, one per mask, in ascending mask order.  The antichain check
+    is n passes over 2**n-bit sets, as in verify, for any family size.
 
     Raises:
         PlayerOutOfRange: a coalition mentions a player outside 1..n.
@@ -178,38 +208,23 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
     if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
     full = (1 << n) - 1
-    masks = sorted({c.mask for c in coalitions})
+    given = {c.mask: c for c in coalitions}
+    masks = sorted(given)
     for m in masks:
         if m & ~full:
             raise PlayerOutOfRange(
                 f"coalition {Coalition(m)} does not fit into {n} players"
             )
-    if full in masks:
-        raise FullCoalitionLosing(
-            f"the grand coalition of all {n} players must win"
-        )
+    if full in given:
+        raise FullCoalitionLosing(f"the grand coalition of all {n} players must win")
     if not masks:
         raise EmptyFamily("a game needs at least one losing coalition")
-    # holders[i] has bit j set when masks[j] holds player i + 1.  ANDing the
-    # holders of a mask's players leaves the masks that contain it; without
-    # its own bit, its strict supersets.  Masks are ascending, so the error
-    # names the smallest contained mask and, by the lowest bit left, the
-    # smallest mask containing it.
-    holders = [
-        int("".join("1" if m >> i & 1 else "0" for m in reversed(masks)), 2)
-        for i in range(n)
-    ]
-    everyone = (1 << len(masks)) - 1
-    for j, small in enumerate(masks):
-        above = everyone
-        for i in range(n):
-            if small >> i & 1:
-                above &= holders[i]
-        above ^= 1 << j
-        if above:
-            large = masks[(above & -above).bit_length() - 1]
-            raise AntichainViolation(Coalition(small), Coalition(large))
-    return SimpleGame(n, tuple(Coalition(m) for m in masks))
+    _, inside = _subsets(n, masks)
+    if inside:
+        small = (inside & -inside).bit_length() - 1
+        large = next(m for m in masks if m & small == small != m)
+        raise AntichainViolation(given[small], given[large])
+    return SimpleGame(n, tuple(given[m] for m in masks))
 
 
 def is_winning(game: SimpleGame, s: Coalition) -> bool:

@@ -21,6 +21,7 @@ from .core import (
     Decomposition,
     SimpleGame,
     WeightedGame,
+    _subsets,
     is_winning,
     weighted_is_winning,
 )
@@ -54,34 +55,15 @@ class VerificationReport:
     coalitions_checked: int
 
 
-def _holders(n: int, i: int) -> int:
-    """Bits of the masks that hold player i + 1, over whole bytes of masks.
-
-    Below 8 masks (n < 3) the byte also sets bits above 2**n, which is
-    harmless where it is used: ANDed with a losing set, which has none.
-    """
-    size = (1 << n) + 7 >> 3
-    if i < 3:
-        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size, "little")
-    run = 1 << i - 3
-    return int.from_bytes((bytes(run) + b"\xff" * run) * (size // (2 * run)), "little")
-
-
 def _game_losing(game: SimpleGame) -> int:
     """Bit m set iff mask m is a subset of some maximal losing coalition."""
     n = game.n
     if n > MAX_PLAYERS:
         raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
-    marked = bytearray((1 << n) + 7 >> 3)
     for t in game.maximal_losing:
         if t.mask >> n:
             raise PlayerOutOfRange(f"{t} does not fit into {n} players")
-        marked[t.mask >> 3] |= 1 << (t.mask & 7)
-    losing = int.from_bytes(marked, "little")
-    for i in range(n):
-        # each marked mask also marks itself without player i + 1
-        losing |= (losing & _holders(n, i)) >> (1 << i)
-    return losing
+    return _subsets(n, [t.mask for t in game.maximal_losing])[0]
 
 
 def _part_losing(part: WeightedGame) -> int:

@@ -143,6 +143,17 @@ def test_validate_deduplicates():
     assert game.maximal_losing == (Coalition.of(1), Coalition.of(2))
 
 
+def test_validate_returns_the_given_coalitions():
+    # Coalition is frozen, so the game holds the caller's objects, not copies.
+    given = [Coalition.of(3), Coalition.of(1, 2)]
+    game = validate_game(3, given)
+    assert game.maximal_losing[0] is given[1]
+    assert game.maximal_losing[1] is given[0]
+    twice = validate_game(3, [Coalition.of(1), *given[:1], Coalition.of(1)])
+    assert len(twice.maximal_losing) == 2
+    assert twice.maximal_losing[1] is given[0]
+
+
 def test_validate_accepts_empty_coalition_as_member():
     game = validate_game(2, [Coalition.of()])
     assert not is_winning(game, Coalition.of())

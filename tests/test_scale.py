@@ -4,6 +4,8 @@ The middle layer C(16, 8): its 12 870 coalitions of 8 out of 16 players
 pass the antichain check, the greedy cover needs 1 430 centers (the count
 of the first, full-rescan greedy), and the covering decomposition has one
 part per center and is equivalent to the game on all 2**16 coalitions.
+The middle layer C(20, 10) passes the antichain check, and with one
+coalition nested inside another it is one error line from the command line.
 
 The full-cube cover of 20 players: writing its 65 536 centers stays within
 a fixed memory margin of a command that loads the package and does nothing
@@ -11,6 +13,7 @@ else.  Verifying five n=24 parts with random heavy weights stays under a
 fixed peak.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +31,7 @@ from simplegames import (
     validate_game,
     verify_decomposition,
 )
+from simplegames.cli import main
 
 
 def test_middle_layer_16_golden():
@@ -41,6 +45,31 @@ def test_middle_layer_16_golden():
     report = verify_decomposition(game, dec)
     assert report.equivalent
     assert report.coalitions_checked == 1 << 16
+
+
+def test_middle_layer_20_validates():
+    family = [Coalition(sum(1 << i for i in c)) for c in combinations(range(20), 10)]
+    game = validate_game(20, family)
+    assert len(game.maximal_losing) == 184_756
+
+
+def test_middle_layer_20_with_a_nested_coalition_is_one_error_line(tmp_path, capsys):
+    # The last member in mask order is {11, ..., 20}; {12, ..., 20} is the
+    # only coalition inside another, and {1, 12, ..., 20} the smallest around it.
+    family = [list(c) for c in combinations(range(1, 21), 10)]
+    game = tmp_path / "game.json"
+    nested = family + [list(range(12, 21))]
+    game.write_text(json.dumps({"n": 20, "maximal_losing": nested}))
+    out = tmp_path / "dec.json"
+    argv = ["decompose", str(game), "--method", "taylor-zwicker", "--output", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: coalition {12, 13, 14, 15, 16, 17, 18, 19, 20} is contained in "
+        "{1, 12, 13, 14, 15, 16, 17, 18, 19, 20}; "
+        "maximal losing coalitions must be pairwise incomparable\n"
+    )
 
 
 # Max RSS of `cover --full 20` above that of `bounds 20`, in MiB.  Building
