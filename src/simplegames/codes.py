@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -93,11 +94,6 @@ def _check_length(n: int) -> None:
         raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
 
 
-def _ball(mask: int, n: int) -> list[int]:
-    """The mask itself plus all single-bit flips."""
-    return [mask] + [mask ^ (1 << i) for i in range(n)]
-
-
 def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     """Cover every target within distance 1 using greedy set cover.
 
@@ -107,14 +103,16 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     candidate covering the most uncovered targets, ties broken by smallest
     mask.  Centers are returned in selection order.
 
-    The rounds are lazy (Minoux's accelerated greedy): a heap holds every
-    candidate under ``(-count, mask)`` with a count that may be stale, and
-    only the popped top is re-counted.  If its fresh count still equals its
-    key it is taken; otherwise it goes back under the fresh count, or is
-    dropped at 0.  Counts only fall as targets get covered, so every other
-    key bounds its candidate's fresh count from above: nobody covers more
-    than the winner, and a candidate covering as many sits behind it in the
-    heap only with a larger mask.  That is the same pick as a full rescan.
+    Each candidate keeps the number of uncovered targets in its ball: the
+    counts are made once, and each target a chosen center newly covers
+    takes one off every candidate in its own ball, k * (n + 1) decrements
+    for k targets in all.  A heap holds the candidates under
+    ``(-count, mask)`` with keys that may be stale: the popped top is taken
+    when its key still equals its count, and otherwise goes back under its
+    count, or is dropped at 0.  Counts only fall, so every other key bounds
+    its candidate's count from above: nobody covers more than the winner,
+    and one covering as many sits behind it only with a larger mask.  That
+    is the pick of a full rescan.
     """
     _check_length(n)
     target_masks = sorted({t.mask for t in targets})
@@ -123,22 +121,28 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     for t in target_masks:
         if t >> n:
             raise PlayerOutOfRange(f"target {Coalition(t)} does not fit into {n} players")
-    uncovered = set(target_masks)
-
-    def count(c: int) -> int:
-        return len(uncovered.intersection(_ball(c, n)))
-
-    heap = [(-count(c), c) for c in {c for t in target_masks for c in _ball(t, n)}]
+    ball = [0] + [1 << i for i in range(n)]  # the flips from a mask to its ball
+    # a plain dict: its subscripts are faster than a Counter's
+    count = dict(Counter(t ^ f for t in target_masks for f in ball))
+    # (-count, mask) packed into the one int -count * 2**n + mask, which
+    # orders the same and compares faster than a tuple
+    low = (1 << n) - 1
+    heap = [-k << n | c for c, k in count.items()]
     heapq.heapify(heap)
+    uncovered = set(target_masks)
     chosen: list[int] = []
     while uncovered:
-        key, c = heapq.heappop(heap)  # never empty: an uncovered target counts itself
-        fresh = count(c)
-        if fresh == -key:
+        key = heapq.heappop(heap)  # never empty: an uncovered target counts itself
+        c = key & low
+        fresh = count[c]
+        if fresh == -(key >> n):
             chosen.append(c)
-            uncovered.difference_update(_ball(c, n))
+            for t in [c ^ f for f in ball if c ^ f in uncovered]:
+                uncovered.remove(t)
+                for f in ball:
+                    count[t ^ f] -= 1
         elif fresh:
-            heapq.heappush(heap, (-fresh, c))
+            heapq.heappush(heap, -fresh << n | c)
     return Code(n, tuple(Coalition(c) for c in chosen))
 
 

@@ -10,8 +10,8 @@ refused where they enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     AntichainViolation,
@@ -111,6 +111,10 @@ class SimpleGame:
 
     n: int
     maximal_losing: tuple[Coalition, ...]
+    # The losing coalitions as a 2**n-bit set, kept by validate_game.  Not an
+    # __init__ argument, so a game built directly or by dataclasses.replace
+    # starts without one rather than with another family's.
+    _closure: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -219,12 +223,14 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
         raise FullCoalitionLosing(f"the grand coalition of all {n} players must win")
     if not masks:
         raise EmptyFamily("a game needs at least one losing coalition")
-    _, inside = _subsets(n, masks)
+    closed, inside = _subsets(n, masks)
     if inside:
         small = (inside & -inside).bit_length() - 1
         large = next(m for m in masks if m & small == small != m)
         raise AntichainViolation(given[small], given[large])
-    return SimpleGame(n, tuple(given[m] for m in masks))
+    game = SimpleGame(n, tuple(given[m] for m in masks))
+    object.__setattr__(game, "_closure", closed)
+    return game
 
 
 def is_winning(game: SimpleGame, s: Coalition) -> bool:

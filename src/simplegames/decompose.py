@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .codes import Code, _ball, greedy_cover
+from .codes import Code, greedy_cover
 from .core import Coalition, Decomposition, SimpleGame, WeightedGame
 from .errors import BadPairDistance, MixedCluster, NotACover
 
@@ -94,10 +94,14 @@ def _tiered(n: int, quota: int, outside: int, *tiers: tuple[int, int]) -> Weight
     Each player weighs the weight of the first tier whose mask holds it;
     players in no tier weigh ``outside``.
     """
-    weights = tuple(
-        next((w for mask, w in tiers if mask >> i & 1), outside) for i in range(n)
-    )
-    return WeightedGame(quota, weights)
+    weights = [outside] * n
+    for mask, w in reversed(tiers):
+        rest = mask & (1 << n) - 1
+        while rest:
+            low = rest & -rest
+            weights[low.bit_length() - 1] = w
+            rest ^= low
+    return WeightedGame(quota, tuple(weights))
 
 
 def taylor_zwicker(game: SimpleGame) -> Decomposition:
@@ -124,14 +128,15 @@ def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
     """
     index = {c.mask: i for i, c in enumerate(code.centers)}
     # A center may hold players beyond game.n when the code is longer.
-    n = max(game.n, code.n)
+    flips = [1 << i for i in range(max(game.n, code.n))]
     groups: dict[int, tuple[ClusterCase, list[Coalition]]] = {}
     for x in game.maximal_losing:
-        near = [m for m in _ball(x.mask, n) if m in index]
-        if not near:
-            raise NotACover(x)
-        # The ball starts with x itself, so distance 0 wins over distance 1.
-        c = near[0] if near[0] == x.mask else min(near)
+        c = x.mask
+        if c not in index:  # distance 0 wins over distance 1
+            near = [c ^ f for f in flips if c ^ f in index]
+            if not near:
+                raise NotACover(x)
+            c = min(near)
         groups.setdefault(index[c], (_side(c, x.mask), []))[1].append(x)
     return [
         Cluster(code.centers[i], tuple(members), case)

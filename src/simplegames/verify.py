@@ -57,6 +57,8 @@ class VerificationReport:
 
 def _game_losing(game: SimpleGame) -> int:
     """Bit m set iff mask m is a subset of some maximal losing coalition."""
+    if game._closure is not None:
+        return game._closure
     n = game.n
     if n > MAX_PLAYERS:
         raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")

@@ -2,14 +2,16 @@
 
 The oracles below are earlier versions of ``greedy_cover``,
 ``validate_game``, ``hamming_code`` and ``full_cover``, kept verbatim apart
-from their names: a rescan of every candidate ball in each greedy round, a
-check of every pair of coalitions for containment, a syndrome computed
-mask by mask over the whole cube, and a table of base lengths with a
-final sort.  ``simplegames`` must reproduce them exactly: the same centers
-in the same order, the same canonical game, or the same error naming the
-same coalitions.
+from their names: a rescan of every candidate ball in each greedy round,
+a lazy greedy that re-counts only the popped top of a heap, a check of
+every pair of coalitions for containment, a syndrome computed mask by mask
+over the whole cube, and a table of base lengths with a final sort.
+``simplegames`` must reproduce them exactly: the same centers in the same
+order, the same canonical game, or the same error naming the same
+coalitions.
 """
 
+import heapq
 from itertools import combinations
 from typing import Iterable
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reduce_to_maximal
+from helpers import reduce_to_maximal, secded_family, secded_games
 from simplegames import (
     Coalition,
     Code,
@@ -77,6 +79,55 @@ def oracle_greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
         assert best is not None  # every target covers itself
         chosen.append(best)
         uncovered.difference_update(_ball(best, n))
+    return Code(n, tuple(Coalition(c) for c in chosen))
+
+
+def _oracle_check_length(n: int) -> None:
+    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
+
+
+def oracle_lazy_greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
+    """Cover every target within distance 1 using greedy set cover.
+
+    Candidate centers are exactly the coalitions within distance 1 of some
+    target; any ball that covers a target has its center there, so nothing
+    is lost by skipping the rest of the cube.  Each round picks the
+    candidate covering the most uncovered targets, ties broken by smallest
+    mask.  Centers are returned in selection order.
+
+    The rounds are lazy (Minoux's accelerated greedy): a heap holds every
+    candidate under ``(-count, mask)`` with a count that may be stale, and
+    only the popped top is re-counted.  If its fresh count still equals its
+    key it is taken; otherwise it goes back under the fresh count, or is
+    dropped at 0.  Counts only fall as targets get covered, so every other
+    key bounds its candidate's fresh count from above: nobody covers more
+    than the winner, and a candidate covering as many sits behind it in the
+    heap only with a larger mask.  That is the same pick as a full rescan.
+    """
+    _oracle_check_length(n)
+    target_masks = sorted({t.mask for t in targets})
+    if not target_masks:
+        raise ValueError("need at least one target to cover")
+    for t in target_masks:
+        if t >> n:
+            raise PlayerOutOfRange(f"target {Coalition(t)} does not fit into {n} players")
+    uncovered = set(target_masks)
+
+    def count(c: int) -> int:
+        return len(uncovered.intersection(_ball(c, n)))
+
+    heap = [(-count(c), c) for c in {c for t in target_masks for c in _ball(t, n)}]
+    heapq.heapify(heap)
+    chosen: list[int] = []
+    while uncovered:
+        key, c = heapq.heappop(heap)  # never empty: an uncovered target counts itself
+        fresh = count(c)
+        if fresh == -key:
+            chosen.append(c)
+            uncovered.difference_update(_ball(c, n))
+        elif fresh:
+            heapq.heappush(heap, (-fresh, c))
     return Code(n, tuple(Coalition(c) for c in chosen))
 
 
@@ -193,22 +244,30 @@ def layer(n: int, k: int) -> list[Coalition]:
 # -------------------------------------------------------------- greedy cover
 
 
+GREEDY_ORACLES = [oracle_greedy_cover, oracle_lazy_greedy_cover]
+
+
 @st.composite
 def cover_targets(draw) -> tuple[int, list[int]]:
     """A length and a target list, duplicates included, in any order.
 
     Targets are arbitrary masks, masks from a few radius-1 balls (dense
-    neighbourhoods, so many candidates tie on their count), the whole
-    cube, or a single coalition.
+    neighbourhoods, so many candidates tie on their count), coalitions of
+    one or two sizes (symmetric, so ties hold round after round), the
+    whole cube, or a single coalition.
     """
     n = draw(st.integers(1, 10))
-    kind = draw(st.sampled_from(["random", "balls", "cube", "single"]))
+    kind = draw(st.sampled_from(["random", "balls", "layers", "cube", "single"]))
     if kind == "random":
         targets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4 * n))
     elif kind == "balls":
         seeds = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
         near = sorted({b for s in seeds for b in _ball(s, n)})
         targets = draw(st.lists(st.sampled_from(near), min_size=1, max_size=3 * n))
+    elif kind == "layers":
+        sizes = draw(st.sets(st.integers(0, n), min_size=1, max_size=2))
+        sized = [m for m in range(1 << n) if m.bit_count() in sizes]
+        targets = draw(st.lists(st.sampled_from(sized), min_size=1, max_size=6 * n))
     elif kind == "cube":
         # Larger cubes are the fixed cases below: the oracle is slow there.
         n = min(n, 6)
@@ -219,31 +278,55 @@ def cover_targets(draw) -> tuple[int, list[int]]:
     return n, draw(st.permutations(targets))
 
 
+def assert_greedy_matches_oracles(n: int, targets: list[Coalition]) -> None:
+    centers = greedy_cover(n, targets).centers
+    for oracle in GREEDY_ORACLES:
+        assert centers == oracle(n, targets).centers, oracle.__name__
+
+
 @settings(max_examples=300, deadline=None)
 @given(cover_targets())
 def test_greedy_cover_matches_oracle(case):
     n, targets = case
-    expected = oracle_greedy_cover(n, coalitions(targets)).centers
-    assert greedy_cover(n, coalitions(targets)).centers == expected
+    assert_greedy_matches_oracles(n, coalitions(targets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(secded_games())
+def test_greedy_cover_of_secded_family_matches_oracle(game):
+    assert_greedy_matches_oracles(game.n, list(game.maximal_losing))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_greedy_cover_of_whole_cube_matches_oracle(n):
-    cube = coalitions(range(1 << n))
-    assert greedy_cover(n, cube).centers == oracle_greedy_cover(n, cube).centers
+    assert_greedy_matches_oracles(n, coalitions(range(1 << n)))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_greedy_cover_of_single_target_matches_oracle(n):
     for mask in (0, (1 << n) - 1, 0b1010101010 & ((1 << n) - 1)):
-        target = [Coalition(mask)]
-        assert greedy_cover(n, target).centers == oracle_greedy_cover(n, target).centers
+        assert_greedy_matches_oracles(n, [Coalition(mask)])
 
 
 @pytest.mark.parametrize("n", [10, 12])
 def test_greedy_cover_of_middle_layer_matches_oracle(n):
-    targets = layer(n, n // 2)
-    assert greedy_cover(n, targets).centers == oracle_greedy_cover(n, targets).centers
+    assert_greedy_matches_oracles(n, layer(n, n // 2))
+
+
+# The full rescan is too slow from here on; the lazy oracle alone checks.
+
+
+@pytest.mark.parametrize("n", range(11, 15))
+def test_greedy_cover_of_larger_cube_matches_lazy_oracle(n):
+    cube = coalitions(range(1 << n))
+    assert greedy_cover(n, cube).centers == oracle_lazy_greedy_cover(n, cube).centers
+
+
+@pytest.mark.parametrize("n, w", [(14, 7), (15, 5), (16, 8)])
+def test_greedy_cover_of_large_layers_matches_lazy_oracle(n, w):
+    for targets in (layer(n, w), secded_family(n, w)):
+        expected = oracle_lazy_greedy_cover(n, targets).centers
+        assert greedy_cover(n, targets).centers == expected
 
 
 @pytest.mark.parametrize(
@@ -252,8 +335,9 @@ def test_greedy_cover_of_middle_layer_matches_oracle(n):
     ids=["n-zero", "n-too-large", "no-targets", "target-too-wide", "one-too-wide"],
 )
 def test_greedy_cover_errors_match_oracle(n, masks):
-    expected = outcome(oracle_greedy_cover, n, coalitions(masks))
-    assert outcome(greedy_cover, n, coalitions(masks)) == expected
+    got = outcome(greedy_cover, n, coalitions(masks))
+    for oracle in GREEDY_ORACLES:
+        assert got == outcome(oracle, n, coalitions(masks)), oracle.__name__
 
 
 # ---------------------------------------------------------- full-cube cover

@@ -4,6 +4,8 @@ The middle layer C(16, 8): its 12 870 coalitions of 8 out of 16 players
 pass the antichain check, the greedy cover needs 1 430 centers (the count
 of the first, full-rescan greedy), and the covering decomposition has one
 part per center and is equivalent to the game on all 2**16 coalitions.
+The greedy cover of C(18, 9) keeps the 6 122 centers, in the order, of
+the lazy greedy it replaced.
 The middle layer C(20, 10) passes the antichain check, and with one
 coalition nested inside another it is one error line from the command line.
 
@@ -13,6 +15,7 @@ else.  Verifying five n=24 parts with random heavy weights stays under a
 fixed peak.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -45,6 +48,16 @@ def test_middle_layer_16_golden():
     report = verify_decomposition(game, dec)
     assert report.equivalent
     assert report.coalitions_checked == 1 << 16
+
+
+def test_middle_layer_18_greedy_cover_golden():
+    family = [Coalition(sum(1 << i for i in c)) for c in combinations(range(18), 9)]
+    code = greedy_cover(18, validate_game(18, family).maximal_losing)
+    assert len(code) == 6_122
+    order = ",".join(str(c.mask) for c in code.centers).encode()
+    assert hashlib.sha256(order).hexdigest() == (
+        "83dddcce9d0b2327f43fbd68f434ed840f6b95fbd6036f97bbcb4420c4574fae"
+    )
 
 
 def test_middle_layer_20_validates():

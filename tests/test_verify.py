@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ def test_verify_reports_smallest_mismatch():
     assert not report.equivalent
     # {3} wins the single part (weight 2) but loses the game.
     assert report.first_mismatch == Coalition.of(3)
+
+
+def test_verify_judges_a_replaced_game_by_its_own_family():
+    other = validate_game(4, [Coalition.of(1, 2), Coalition.of(3, 4)])
+    game = replace(four_player_example(), maximal_losing=other.maximal_losing)
+    assert game == other == SimpleGame(4, other.maximal_losing)
+    assert repr(game) == repr(other) and hash(game) == hash(other)
+    assert verify_decomposition(game, taylor_zwicker(other)).equivalent
+    assert not verify_decomposition(game, taylor_zwicker(four_player_example())).equivalent
 
 
 def test_verify_rejects_player_count_mismatch():
