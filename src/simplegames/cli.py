@@ -69,17 +69,17 @@ def _save_object(path: str, fields: dict, key: str, items, render) -> None:
         f.write("\n  ]\n}\n" if items else "]\n}\n")
 
 
-def _save_coalitions(path: str, n: int, key: str, coalitions) -> None:
+def _save_masks(path: str, n: int, key: str, masks) -> None:
     # tables[k][b]: ",\n      p" per player p = 8k + i + 1, bit i of b; n <= 24.
     lo, mid, hi = tables = [[""], [""], [""]]
     for p in range(24):
         tables[p >> 3] += [f"{s},\n      {p + 1}" for s in tables[p >> 3]]
 
-    def render(c: Coalition) -> str:
-        body = lo[c.mask & 255] + mid[c.mask >> 8 & 255] + hi[c.mask >> 16]
+    def render(m: int) -> str:
+        body = lo[m & 255] + mid[m >> 8 & 255] + hi[m >> 16]
         return f"    [{body[1:]}\n    ]" if body else "    []"
 
-    _save_object(path, {"n": n}, key, coalitions, render)
+    _save_object(path, {"n": n}, key, masks, render)
 
 
 def _player_count(data: dict, path: str) -> int:
@@ -91,7 +91,7 @@ def _player_count(data: dict, path: str) -> int:
     return n
 
 
-def _coalition_list(data: dict, key: str, path: str, n: int) -> list[Coalition]:
+def _mask_list(data: dict, key: str, path: str, n: int) -> list[int]:
     raw = data.get(key)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: field '{key}' must be a list of player lists")
@@ -103,7 +103,7 @@ def _coalition_list(data: dict, key: str, path: str, n: int) -> list[Coalition]:
             mask = 0
             for p in entry if isinstance(entry, list) else [None]:
                 mask |= bits[p if type(p) is int else None]
-            out.append(Coalition(mask))
+            out.append(mask)
     except KeyError:
         raise ValueError(f"{path}: '{key}' entries must be lists of players 1..{n}")
     return out
@@ -112,21 +112,21 @@ def _coalition_list(data: dict, key: str, path: str, n: int) -> list[Coalition]:
 def load_game(path: str) -> SimpleGame:
     data = _load_json(path)
     n = _player_count(data, path)
-    return validate_game(n, _coalition_list(data, "maximal_losing", path, n))
+    return validate_game(n, map(Coalition, _mask_list(data, "maximal_losing", path, n)))
 
 
 def save_game(game: SimpleGame, path: str) -> None:
-    _save_coalitions(path, game.n, "maximal_losing", game.maximal_losing)
+    _save_masks(path, game.n, "maximal_losing", [c.mask for c in game.maximal_losing])
 
 
 def load_code(path: str) -> Code:
     data = _load_json(path)
     n = _player_count(data, path)
-    return Code(n, tuple(_coalition_list(data, "centers", path, n)))
+    return Code._of_masks(n, _mask_list(data, "centers", path, n))
 
 
 def save_code(code: Code, path: str) -> None:
-    _save_coalitions(path, code.n, "centers", code.centers)
+    _save_masks(path, code.n, "centers", code._masks)
 
 
 def load_decomposition(path: str) -> Decomposition:

@@ -12,10 +12,10 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
-from .core import MAX_PLAYERS, Coalition, hamming_distance
+from .core import MAX_PLAYERS, Coalition
 from .errors import MOutOfRange, PlayerOutOfRange
 
 HAMMING_MIN_M = 2
@@ -38,25 +38,48 @@ _KNOWN_BOUNDS = {
 BOUNDS_TABLE_MIN_N = min(_KNOWN_BOUNDS)
 BOUNDS_TABLE_MAX_N = max(_KNOWN_BOUNDS)
 
+if TYPE_CHECKING:  # bounds_report imports it, to keep it out of start-up
+    from fractions import Fraction
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Code:
-    """A non-empty, duplicate-free, ordered collection of center coalitions."""
+    """A non-empty, duplicate-free, ordered collection of center coalitions.
+
+    The centers are held as int masks, first occurrence kept; ``centers``
+    builds their Coalition tuple on its first read.  Two codes are equal when
+    their lengths and their centers, in order, are.
+    """
 
     n: int
-    centers: tuple[Coalition, ...]
+    _masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_length(self.n)
-        object.__setattr__(self, "centers", tuple(dict.fromkeys(self.centers)))
-        for c in self.centers:
-            if not c.fits(self.n):
-                raise PlayerOutOfRange(f"center {c} does not fit into {self.n} players")
-        if not self.centers:
+    def __init__(self, n: int, centers: Iterable[Coalition]) -> None:
+        self._hold(n, (c.mask for c in centers))
+
+    @classmethod
+    def _of_masks(cls, n: int, masks: Iterable[int]) -> Code:
+        return cls.__new__(cls)._hold(n, masks)
+
+    def _hold(self, n: int, masks: Iterable[int]) -> Code:
+        """Check and keep the centers: the one check of both constructors."""
+        _check_length(n)
+        masks = tuple(dict.fromkeys(masks))
+        if not masks:
             raise ValueError("a code needs at least one center")
+        if max(masks) >> n:
+            bad = Coalition(next(m for m in masks if m >> n))
+            raise PlayerOutOfRange(f"center {bad} does not fit into {n} players")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_masks", masks)
+        return self
+
+    @cached_property
+    def centers(self) -> tuple[Coalition, ...]:
+        return tuple(map(Coalition, self._masks))
 
     def __len__(self) -> int:
-        return len(self.centers)
+        return len(self._masks)
 
 
 @dataclass(frozen=True)
@@ -143,7 +166,7 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
                     count[t ^ f] -= 1
         elif fresh:
             heapq.heappush(heap, -fresh << n | c)
-    return Code(n, tuple(Coalition(c) for c in chosen))
+    return Code._of_masks(n, chosen)
 
 
 def full_cover(n: int) -> Code:
@@ -164,21 +187,22 @@ def full_cover(n: int) -> Code:
     for j in range(1, b + 1):
         syndromes += [s ^ j for s in syndromes]
     base = [mask for mask, s in enumerate(syndromes) if s == 0]
-    centers = (c | suffix << b for suffix in range(1 << (n - b)) for c in base)
-    return Code(n, tuple(Coalition(c) for c in centers))
+    pads = range(0, 1 << n, 1 << b)  # every subset of the players after b
+    return Code._of_masks(n, [c | pad for pad in pads for c in base])
 
 
 def covering_radius_at_most(code: Code, targets: Iterable[Coalition], r: int) -> bool:
     """True when every target is within distance r of some center."""
-    return all(
-        any(hamming_distance(t, c) <= r for c in code.centers) for t in targets
-    )
+    masks = code._masks
+    return all(any((t.mask ^ c).bit_count() <= r for c in masks) for t in targets)
 
 
 def bounds_report(n: int) -> BoundsReport:
     """Collect every bound this package knows for length n (1 <= n <= 63)."""
     if type(n) is not int or not 1 <= n <= 63:
         raise ValueError(f"bounds are reported for 1 <= n <= 63, got {n}")
+    from fractions import Fraction
+
     sperner = math.comb(n, n // 2)
     if (n + 1).bit_count() == 1:
         kn_exact = (1 << n) // (n + 1)

@@ -126,7 +126,8 @@ def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
     Raises NotACover if some maximal losing coalition is farther than
     distance 1 from every center.
     """
-    index = {c.mask: i for i, c in enumerate(code.centers)}
+    masks = code._masks
+    index = {c: i for i, c in enumerate(masks)}
     # A center may hold players beyond game.n when the code is longer.
     flips = [1 << i for i in range(max(game.n, code.n))]
     groups: dict[int, tuple[ClusterCase, list[Coalition]]] = {}
@@ -139,7 +140,7 @@ def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
             c = min(near)
         groups.setdefault(index[c], (_side(c, x.mask), []))[1].append(x)
     return [
-        Cluster(code.centers[i], tuple(members), case)
+        Cluster(Coalition(masks[i]), tuple(members), case)
         for i, (case, members) in sorted(groups.items())
     ]
 

@@ -2,8 +2,9 @@
 
 The oracles below are the earlier ``json.dump``-based writers and the
 earlier ``_coalition_list``, kept verbatim apart from their names.  The
-writers in ``simplegames.cli`` must produce the same bytes, and the loader
-the same coalitions or the same error text.
+writers in ``simplegames.cli`` must produce the same bytes, and the mask
+loader ``_mask_list`` the masks of the oracle's coalitions or the same error
+text.
 """
 
 import json
@@ -24,7 +25,8 @@ from simplegames import (
 from simplegames.cli import (
     _BLOCK,
     METHODS,
-    _coalition_list,
+    _mask_list,
+    load_code,
     save_code,
     save_decomposition,
     save_game,
@@ -159,14 +161,17 @@ def test_decomposition_writer_matches_oracle(tmp_path_factory, n, count, method,
 
 
 def load_both(raw, n: int):
-    """The coalitions or the ValueError text, from the loader and the oracle."""
-    results = []
-    for load in (_coalition_list, oracle_coalition_list):
-        try:
-            results.append(load({"centers": raw}, "centers", "code.json", n))
-        except ValueError as exc:
-            results.append(str(exc))
-    return results
+    """The loader's masks and those of the oracle's coalitions, or the error texts."""
+    data = {"centers": raw}
+    try:
+        ours = _mask_list(data, "centers", "code.json", n)
+    except ValueError as exc:
+        ours = str(exc)
+    try:
+        theirs = [c.mask for c in oracle_coalition_list(data, "centers", "code.json", n)]
+    except ValueError as exc:
+        theirs = str(exc)
+    return ours, theirs
 
 
 @pytest.mark.parametrize(
@@ -226,3 +231,29 @@ player_lists = st.lists(st.integers(-1, MAX_PLAYERS + 1) | json_values, max_size
 def test_loader_matches_oracle(n, raw):
     ours, theirs = load_both(raw, n)
     assert ours == theirs
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[]],
+        [[2], [1], [2], []],
+        [[1, 3], [3, 1], [5], [1, 1, 3]],
+        [[p] for p in range(5, 0, -1)],
+    ],
+    ids=repr,
+)
+def test_loaded_code_reads_the_oracles_coalitions(tmp_path, raw):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": 5, "centers": raw}))
+    centers = load_code(str(path)).centers
+    oracle = oracle_coalition_list({"centers": raw}, "centers", str(path), 5)
+    assert type(centers) is tuple and all(type(c) is Coalition for c in centers)
+    assert centers == tuple(dict.fromkeys(oracle))
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 16])
+def test_full_cover_file_loads_back_as_the_same_code(tmp_path, n):
+    code = full_cover(n)
+    save_code(code, tmp_path / "code.json")
+    assert load_code(str(tmp_path / "code.json")) == code

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -17,7 +18,8 @@ from simplegames.codes import (
     greedy_cover,
     hamming_code,
 )
-from simplegames.errors import MOutOfRange, PlayerOutOfRange
+from simplegames.core import MAX_PLAYERS
+from simplegames.errors import GameError, MOutOfRange, PlayerOutOfRange
 
 
 def all_coalitions(n):
@@ -38,6 +40,13 @@ def test_code_rejects_oversized_center():
         Code(3, (Coalition.of(5),))
 
 
+@pytest.mark.parametrize("n", [1, 3, MAX_PLAYERS])
+def test_code_rejects_the_first_player_beyond_n(n):
+    with pytest.raises(PlayerOutOfRange) as error:
+        Code(n, (Coalition((1 << n) - 1), Coalition(1 << n)))
+    assert str(error.value) == f"center {{{n + 1}}} does not fit into {n} players"
+
+
 def test_code_rejects_empty():
     with pytest.raises(ValueError):
         Code(3, ())
@@ -48,6 +57,68 @@ def test_code_lengths_are_ints_within_the_cap(n):
     # A code of length 0 could be saved but not loaded back.
     with pytest.raises(ValueError):
         Code(n, (Coalition(0),))
+
+
+def test_code_equality_follows_length_and_center_order():
+    a, b = Coalition.of(1), Coalition.of(2)
+    assert Code(3, (a, b)) == Code(3, (a, b, a))
+    assert hash(Code(3, (a, b))) == hash(Code(3, [a, b]))
+    assert Code(3, (a, b)) != Code(3, (b, a))
+    assert Code(3, (a, b)) != Code(4, (a, b))
+
+
+def test_code_is_immutable_and_builds_its_centers_once():
+    code = Code(3, (Coalition.of(1, 2), Coalition.of(3)))
+    for name, value in [("n", 4), ("centers", ())]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(code, name, value)
+    centers = code.centers
+    assert centers == (Coalition.of(1, 2), Coalition.of(3))
+    assert type(centers) is tuple and all(type(c) is Coalition for c in centers)
+    assert code.centers is centers
+
+
+def built(build):
+    """The code's length, centers and hash, or the type and text of its error."""
+    try:
+        code = build()
+    except (ValueError, GameError) as exc:
+        return type(exc), str(exc)
+    return code, code.n, code.centers, len(code), hash(code)
+
+
+def assert_both_constructors_agree(n, masks):
+    # Code._of_masks is the path of full_cover, greedy_cover and the loader.
+    from_masks = built(lambda: Code._of_masks(n, masks))
+    assert from_masks == built(lambda: Code(n, [Coalition(m) for m in masks]))
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [
+        (4, [8, 1, 8, 1, 0]),  # repeats keep their first place
+        (3, [1, 8, 16, 8]),  # the first center that does not fit is named
+        (3, [1, 7, 7, 1 << 30]),
+        (MAX_PLAYERS, [(1 << MAX_PLAYERS) - 1, 1 << MAX_PLAYERS]),
+        (3, []),
+        (0, [0]),
+        (MAX_PLAYERS + 1, [0]),
+        (True, [0]),
+    ],
+    ids=[
+        "repeats", "too-wide", "far-too-wide", "cap", "empty", "n-zero", "n-over", "bool"
+    ],
+)
+def test_code_from_masks_matches_code_from_coalitions(n, masks):
+    assert_both_constructors_agree(n, masks)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, MAX_PLAYERS + 1), st.data())
+def test_code_from_random_masks_matches_code_from_coalitions(n, data):
+    masks = data.draw(st.lists(st.integers(0, (4 << n) - 1), max_size=8))
+    masks += data.draw(st.lists(st.sampled_from(masks), max_size=3)) if masks else []
+    assert_both_constructors_agree(n, data.draw(st.permutations(masks)))
 
 
 # ------------------------------------------------------------- hamming_code
@@ -131,6 +202,26 @@ def test_covering_radius_zero_needs_the_targets_themselves():
     code = Code(3, tuple(targets))
     assert covering_radius_at_most(code, targets, 0)
     assert not covering_radius_at_most(Code(3, (Coalition.of(1),)), targets, 0)
+
+
+def oracle_covering_radius_at_most(code, targets, r):
+    # The earlier version: one hamming_distance call per target and center.
+    return all(
+        any(hamming_distance(t, c) <= r for c in code.centers) for t in targets
+    )
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8), st.data())
+def test_covering_radius_matches_pairwise_oracle(n, data):
+    # Targets may hold players beyond n, and r may be negative.
+    wide = st.integers(0, (2 << n) - 1)
+    centers = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    targets = [Coalition(m) for m in data.draw(st.lists(wide, max_size=8))]
+    r = data.draw(st.integers(-1, n + 1))
+    code = Code(n, [Coalition(m) for m in centers])
+    expected = oracle_covering_radius_at_most(code, targets, r)
+    assert covering_radius_at_most(code, iter(targets), r) == expected
 
 
 @settings(max_examples=60)

@@ -196,6 +196,32 @@ def test_commands_load_only_the_standard_library(tmp_path):
     assert loaded == []
 
 
+# Appended to WITHOUT_NUMPY: prints which modules of exact arithmetic loaded.
+LOADED_EXACT = """
+print(json.dumps([m for m in ("fractions", "decimal") if m in sys.modules]))
+"""
+
+
+def test_decompose_and_verify_leave_exact_arithmetic_unloaded(tmp_path):
+    # Only bounds_report needs fractions, which loads decimal in turn.
+    commands = [
+        argv
+        for argv in cli_commands(tmp_path / "child")
+        if argv[0] in ("decompose", "verify")
+    ]
+    script = WITHOUT_NUMPY + LOADED_EXACT
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", script, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=str(Path(simplegames.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    results, loaded = map(json.loads, child.stdout.splitlines())
+    assert [rc for rc, _ in results] == [0] * 5 + [3]
+    assert loaded == []
+
+
 def test_numpy_is_imported_only_by_the_table_adapter():
     importers = []
     for path in sorted(Path(simplegames.__file__).parent.glob("*.py")):

@@ -43,8 +43,8 @@ def test_coalition_players_round_trip():
 
 
 def test_coalition_is_slotted_and_frozen():
-    # Slots keep the per-coalition memory down: a full-cube code holds
-    # hundreds of thousands of them.
+    # Slots keep the per-coalition memory down: a family of hundreds of
+    # thousands of coalitions, or the centers of a full-cube code once read.
     c = Coalition.of(1, 3)
     assert not hasattr(c, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -278,8 +278,14 @@ def cover_targets(draw) -> tuple[int, list[int]]:
     return n, draw(st.permutations(targets))
 
 
+def assert_coalition_tuple(centers) -> None:
+    # Codes hold int masks; centers must still read as Coalitions.
+    assert type(centers) is tuple and all(type(c) is Coalition for c in centers)
+
+
 def assert_greedy_matches_oracles(n: int, targets: list[Coalition]) -> None:
     centers = greedy_cover(n, targets).centers
+    assert_coalition_tuple(centers)
     for oracle in GREEDY_ORACLES:
         assert centers == oracle(n, targets).centers, oracle.__name__
 
@@ -354,6 +360,7 @@ def test_hamming_code_matches_oracle(m):
 def test_full_cover_matches_oracle(n):
     code = full_cover(n)
     assert code.n == n
+    assert_coalition_tuple(code.centers)
     assert code.centers == oracle_full_cover(n).centers
 
 

@@ -11,13 +11,15 @@ coalition nested inside another it is one error line from the command line.
 
 The full-cube cover of 20 players: writing its 65 536 centers stays within
 a fixed memory margin of a command that loads the package and does nothing
-else.  Verifying five n=24 parts with random heavy weights stays under a
-fixed peak.
+else.  Writing the full-cube cover of 22 players, decomposing a sparse n=24
+game around the full-cube cover, and verifying five n=24 parts with random
+heavy weights each stay under a fixed peak.
 """
 
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -137,3 +139,34 @@ def test_verify_of_random_heavy_parts_stays_under_a_fixed_peak(tmp_path):
     game, dec = write_hostile_verify_files(tmp_path)
     peak = cli_max_rss_mib("verify", str(game), str(dec), cwd=tmp_path, status=3)
     assert peak < HOSTILE_VERIFY_MAX_MIB
+
+
+# Peak RSS of `cover --full 22` (262 144 centers), in MiB: about 54 MiB when
+# every center was a Coalition, about 42 MiB with the centers as int masks.
+COVER_FULL_22_MAX_MIB = 48
+
+# Peak RSS of `decompose --method covering --full-code` on 40 coalitions of 24
+# players (1 048 576 centers), in MiB: about 219 MiB when every center was a
+# Coalition, about 171 MiB with the centers as int masks.
+FULL_CODE_24_MAX_MIB = 195
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_cover_full_22_stays_under_a_fixed_peak(tmp_path):
+    peak = cli_max_rss_mib("cover", "--full", "22", "--output", "c.json", cwd=tmp_path)
+    assert (tmp_path / "c.json").stat().st_size > 0
+    assert peak < COVER_FULL_22_MAX_MIB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_full_code_decomposition_at_24_stays_under_a_fixed_peak(tmp_path):
+    rng = random.Random(24)
+    family = set()
+    while len(family) < 40:  # coalitions of one size form an antichain
+        family.add(tuple(sorted(rng.sample(range(1, 25), 12))))
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"n": 24, "maximal_losing": sorted(family)}))
+    argv = ["decompose", str(game), "--method", "covering", "--full-code"]
+    peak = cli_max_rss_mib(*argv, "--output", "dec.json", cwd=tmp_path)
+    assert json.loads((tmp_path / "dec.json").read_text())["part_count"] == 40
+    assert peak < FULL_CODE_24_MAX_MIB
