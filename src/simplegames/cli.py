@@ -19,11 +19,11 @@ import sys
 
 from .codes import Code, bounds_report, full_cover, greedy_cover
 from .core import (
-    MAX_PLAYERS,
     Coalition,
     Decomposition,
     SimpleGame,
     WeightedGame,
+    _check_players,
     is_winning,
     validate_game,
 )
@@ -86,8 +86,7 @@ def _player_count(data: dict, path: str) -> int:
     n = data.get("n")
     if type(n) is not int:
         raise ValueError(f"{path}: field 'n' must be an integer")
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ValueError(f"{path}: field 'n' must be in 1..{MAX_PLAYERS}, got {n}")
+    _check_players(n, f"{path}: field 'n'")
     return n
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .core import MAX_PLAYERS, Coalition
-from .errors import MOutOfRange, PlayerOutOfRange
+from .core import Coalition, _check_fits, _check_players
+from .errors import MOutOfRange
 
 HAMMING_MIN_M = 2
 HAMMING_MAX_M = 4
@@ -63,13 +63,11 @@ class Code:
 
     def _hold(self, n: int, masks: Iterable[int]) -> Code:
         """Check and keep the centers: the one check of both constructors."""
-        _check_length(n)
+        _check_players(n, "length")
         masks = tuple(dict.fromkeys(masks))
         if not masks:
             raise ValueError("a code needs at least one center")
-        if max(masks) >> n:
-            bad = Coalition(next(m for m in masks if m >> n))
-            raise PlayerOutOfRange(f"center {bad} does not fit into {n} players")
+        _check_fits(n, masks, "center ")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_masks", masks)
         return self
@@ -112,11 +110,6 @@ def hamming_code(m: int) -> Code:
     return full_cover((1 << m) - 1)
 
 
-def _check_length(n: int) -> None:
-    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
-        raise ValueError(f"length must be in 1..{MAX_PLAYERS}, got {n}")
-
-
 def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     """Cover every target within distance 1 using greedy set cover.
 
@@ -137,13 +130,11 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     and one covering as many sits behind it only with a larger mask.  That
     is the pick of a full rescan.
     """
-    _check_length(n)
+    _check_players(n, "length")
     target_masks = sorted({t.mask for t in targets})
     if not target_masks:
         raise ValueError("need at least one target to cover")
-    for t in target_masks:
-        if t >> n:
-            raise PlayerOutOfRange(f"target {Coalition(t)} does not fit into {n} players")
+    _check_fits(n, target_masks, "target ")
     ball = [0] + [1 << i for i in range(n)]  # the flips from a mask to its ball
     # a plain dict: its subscripts are faster than a Counter's
     count = dict(Counter(t ^ f for t in target_masks for f in ball))
@@ -181,7 +172,7 @@ def full_cover(n: int) -> Code:
     which gives 2**(n - b) * 2**(b - m) centers, the exact minimum when
     n = b.
     """
-    _check_length(n)
+    _check_players(n, "length")
     b = (1 << ((n + 1).bit_length() - 1)) - 1
     syndromes = [0]  # syndromes[mask] for every mask on the players seen so far
     for j in range(1, b + 1):

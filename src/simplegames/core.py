@@ -11,7 +11,7 @@ refused where they enter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     AntichainViolation,
@@ -75,10 +75,6 @@ class Coalition:
     def issubset(self, other: Coalition) -> bool:
         return self.mask & ~other.mask == 0
 
-    def fits(self, n: int) -> bool:
-        """True when every member is one of the players 1..n."""
-        return self.mask >> n == 0
-
     def __or__(self, other: Coalition) -> Coalition:
         return Coalition(self.mask | other.mask)
 
@@ -98,6 +94,19 @@ class Coalition:
 def full_coalition(n: int) -> Coalition:
     """The grand coalition of all n players."""
     return Coalition((1 << n) - 1)
+
+
+def _check_players(n: int, what: str) -> None:
+    """Refuse a player count (or code length) that is not an int in 1..MAX_PLAYERS."""
+    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"{what} must be in 1..{MAX_PLAYERS}, got {n}")
+
+
+def _check_fits(n: int, masks: Sequence[int], what: str = "") -> None:
+    """Refuse the first of the masks that holds a player beyond n."""
+    if max(masks, default=0) >> n:
+        m = next(m for m in masks if m >> n)
+        raise PlayerOutOfRange(f"{what}{Coalition(m)} does not fit into {n} players")
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,7 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        if type(self.n) is not int or not 1 <= self.n <= MAX_PLAYERS:
-            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {self.n}")
+        _check_players(self.n, "player count")
         if not self.parts:
             raise ValueError("a decomposition needs at least one part")
         for part in self.parts:
@@ -180,8 +188,8 @@ def _holders(n: int, i: int) -> int:
     return int.from_bytes((bytes(run) + b"\xff" * run) * (size // (2 * run)), "little")
 
 
-def _subsets(n: int, masks: Iterable[int]) -> tuple[int, int]:
-    """Every subset of the masks, and the masks strictly inside another, as bitsets."""
+def _subsets(n: int, masks: Iterable[int]) -> tuple[int, int, int]:
+    """Bitsets: every subset of the masks, those strictly inside another, the masks."""
     marked = bytearray((1 << n) + 7 >> 3)
     for m in masks:
         marked[m >> 3] |= 1 << (m & 7)
@@ -192,7 +200,7 @@ def _subsets(n: int, masks: Iterable[int]) -> tuple[int, int]:
         dropped = (closed & _holders(n, i)) >> (1 << i)
         closed |= dropped
         below |= dropped
-    return closed, family & below
+    return closed, family & below, family
 
 
 def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
@@ -209,21 +217,15 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
             so every game has at least one maximal losing coalition).
         AntichainViolation: one coalition contains another.
     """
-    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
-        raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
-    full = (1 << n) - 1
+    _check_players(n, "player count")
     given = {c.mask: c for c in coalitions}
     masks = sorted(given)
-    for m in masks:
-        if m & ~full:
-            raise PlayerOutOfRange(
-                f"coalition {Coalition(m)} does not fit into {n} players"
-            )
-    if full in given:
+    _check_fits(n, masks, "coalition ")
+    if (1 << n) - 1 in given:
         raise FullCoalitionLosing(f"the grand coalition of all {n} players must win")
     if not masks:
         raise EmptyFamily("a game needs at least one losing coalition")
-    closed, inside = _subsets(n, masks)
+    closed, inside, _ = _subsets(n, masks)
     if inside:
         small = (inside & -inside).bit_length() - 1
         large = next(m for m in masks if m & small == small != m)
@@ -235,15 +237,13 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
 
 def is_winning(game: SimpleGame, s: Coalition) -> bool:
     """True unless ``s`` is contained in some maximal losing coalition."""
-    if not s.fits(game.n):
-        raise PlayerOutOfRange(f"{s} does not fit into {game.n} players")
+    _check_fits(game.n, (s.mask,))
     return all(s.mask & ~t.mask for t in game.maximal_losing)
 
 
 def weighted_is_winning(wg: WeightedGame, s: Coalition) -> bool:
     """True when the total weight of the members of ``s`` reaches the quota."""
-    if not s.fits(wg.n):
-        raise PlayerOutOfRange(f"{s} does not fit into {wg.n} players")
+    _check_fits(wg.n, (s.mask,))
     total = sum(w for i, w in enumerate(wg.weights) if s.mask >> i & 1)
     return total >= wg.quota
 
@@ -258,29 +258,31 @@ def derive_maximal_losing(
 ) -> tuple[Coalition, ...]:
     """Enumerate the maximal losing coalitions of a monotone win/lose oracle.
 
-    The oracle is evaluated on all 2**n coalitions and checked for
-    monotonicity along the way.  Returns the losing coalitions whose every
-    one-player extension wins, in ascending mask order; the result is empty
-    exactly when the oracle accepts everything (such an oracle describes no
-    valid game, and :func:`validate_game` rejects the empty family).
+    The oracle is called once per coalition, in ascending mask order.  The
+    losing ones go through the down-closure of :func:`validate_game`, which
+    adds nothing exactly when the oracle is monotone, and those not strictly
+    inside another are returned in ascending mask order.  The result is
+    empty exactly when the oracle accepts everything (such an oracle
+    describes no valid game, and :func:`validate_game` rejects it).
 
     Raises:
         CapExceeded: n exceeds MAX_PLAYERS.
         NonMonotoneOracle: some winning coalition has a losing superset.
+            It names the first winner, by mask, with a losing one-player
+            extension, and the first such extension.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"player count must be a positive int, got {n}")
     if n > MAX_PLAYERS:
         raise CapExceeded(f"exhaustive scan needs n <= {MAX_PLAYERS}, got {n}")
     size = 1 << n
-    wins = [winning_oracle(Coalition(m)) for m in range(size)]
-    maximal: list[Coalition] = []
-    for m in range(size):
-        extensions = [m | (1 << i) for i in range(n) if not m >> i & 1]
-        if wins[m]:
-            for e in extensions:
-                if not wins[e]:
+    losing = (m for m in range(size) if not winning_oracle(Coalition(m)))
+    closed, inside, family = _subsets(n, losing)
+    if closed != family:  # some winner lies below a loser
+        lost = bin(family)[:1:-1].ljust(size, "0")  # "1" at index m if m loses
+        for m in range(size):
+            for e in (m | 1 << i for i in range(n)):
+                if lost[m] == "0" and lost[e] == "1":
                     raise NonMonotoneOracle(Coalition(m), Coalition(e))
-        elif all(wins[e] for e in extensions):
-            maximal.append(Coalition(m))
-    return tuple(maximal)
+    maximal = bin(family & ~inside)[:1:-1]
+    return tuple(Coalition(m) for m, bit in enumerate(maximal) if bit == "1")

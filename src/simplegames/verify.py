@@ -21,11 +21,12 @@ from .core import (
     Decomposition,
     SimpleGame,
     WeightedGame,
+    _check_fits,
     _subsets,
     is_winning,
     weighted_is_winning,
 )
-from .errors import CapExceeded, DimensionMismatch, PlayerOutOfRange, UnbalancedTrade
+from .errors import CapExceeded, DimensionMismatch, UnbalancedTrade
 
 # Certificate search scans losing pairs times submasks, roughly 4**n work.
 TRADE_SEARCH_MAX_PLAYERS = 10
@@ -50,6 +51,12 @@ class TradeCertificate:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A game compared with a decomposition on all ``coalitions_checked`` coalitions.
+
+    ``first_mismatch`` is the smallest coalition, by mask, that one side lets
+    win and the other lose; it is None exactly when ``equivalent`` is true.
+    """
+
     equivalent: bool
     first_mismatch: Optional[Coalition]
     coalitions_checked: int
@@ -62,10 +69,9 @@ def _game_losing(game: SimpleGame) -> int:
     n = game.n
     if n > MAX_PLAYERS:
         raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
-    for t in game.maximal_losing:
-        if t.mask >> n:
-            raise PlayerOutOfRange(f"{t} does not fit into {n} players")
-    return _subsets(n, [t.mask for t in game.maximal_losing])[0]
+    masks = [t.mask for t in game.maximal_losing]
+    _check_fits(n, masks)
+    return _subsets(n, masks)[0]
 
 
 def _part_losing(part: WeightedGame) -> int:

@@ -12,8 +12,9 @@ coalition nested inside another it is one error line from the command line.
 The full-cube cover of 20 players: writing its 65 536 centers stays within
 a fixed memory margin of a command that loads the package and does nothing
 else.  Writing the full-cube cover of 22 players, decomposing a sparse n=24
-game around the full-cube cover, and verifying five n=24 parts with random
-heavy weights each stay under a fixed peak.
+game around the full-cube cover, verifying five n=24 parts with random
+heavy weights, and deriving the maximal losing coalitions of the 20-player
+majority game each stay under a fixed peak.
 """
 
 import hashlib
@@ -104,11 +105,12 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def cli_max_rss_mib(*argv: str, cwd: Path, status: int = 0) -> float:
+def python_max_rss_mib(*args: str, cwd: Path, status: int = 0) -> float:
+    """Max RSS, in MiB, of ``python *args`` run with this package importable."""
     src = str(Path(simplegames.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", MEASURE, sys.executable, "-m", "simplegames.cli", *argv],
+        [sys.executable, "-c", MEASURE, sys.executable, *args],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -118,6 +120,10 @@ def cli_max_rss_mib(*argv: str, cwd: Path, status: int = 0) -> float:
     code, kib = map(int, out.split())
     assert code == status
     return kib / 1024
+
+
+def cli_max_rss_mib(*argv: str, cwd: Path, status: int = 0) -> float:
+    return python_max_rss_mib("-m", "simplegames.cli", *argv, cwd=cwd, status=status)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -170,3 +176,20 @@ def test_full_code_decomposition_at_24_stays_under_a_fixed_peak(tmp_path):
     peak = cli_max_rss_mib(*argv, "--output", "dec.json", cwd=tmp_path)
     assert json.loads((tmp_path / "dec.json").read_text())["part_count"] == 40
     assert peak < FULL_CODE_24_MAX_MIB
+
+
+# Peak RSS of derive_maximal_losing on the 20-player majority game, in MiB:
+# about 40 MiB with one list of the 2**20 answers, about 57 MiB with a list
+# of the losing masks fed to the closure, about 34 MiB with a generator.
+DERIVE_20_MAX_MIB = 48
+
+DERIVE_MAJORITY_20 = """
+from simplegames import derive_maximal_losing
+assert len(derive_maximal_losing(20, lambda s: 2 * len(s) > 20)) == 184_756
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_derive_majority_20_stays_under_a_fixed_peak(tmp_path):
+    peak = python_max_rss_mib("-c", DERIVE_MAJORITY_20, cwd=tmp_path)
+    assert peak < DERIVE_20_MAX_MIB
