@@ -10,8 +10,9 @@ refused where they enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AntichainViolation,
@@ -116,14 +117,22 @@ class SimpleGame:
     A coalition loses exactly when it is contained in one of the maximal
     losing coalitions, and wins otherwise.  Construct instances through
     :func:`validate_game`, which checks the representation invariants.
+    The set of losing coalitions is built on first use, and
+    :func:`validate_game` builds it while checking the game.
     """
 
     n: int
     maximal_losing: tuple[Coalition, ...]
-    # The losing coalitions as a 2**n-bit set, kept by validate_game.  Not an
-    # __init__ argument, so a game built directly or by dataclasses.replace
-    # starts without one rather than with another family's.
-    _closure: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+
+    @cached_property
+    def _down_closure(self) -> tuple[int, int]:
+        """2**n-bit sets: the losing coalitions, and the members strictly inside another."""
+        n = self.n
+        if n > MAX_PLAYERS:
+            raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
+        masks = [t.mask for t in self.maximal_losing]
+        _check_fits(n, masks)
+        return _subsets(n, masks)[:2]
 
 
 @dataclass(frozen=True)
@@ -208,7 +217,7 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
 
     Exact duplicates are dropped silently; the result holds the given
     coalitions, one per mask, in ascending mask order.  The antichain check
-    is n passes over 2**n-bit sets, as in verify, for any family size.
+    reads the game's down-closure, which verify reuses, for any family size.
 
     Raises:
         PlayerOutOfRange: a coalition mentions a player outside 1..n.
@@ -225,13 +234,12 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
         raise FullCoalitionLosing(f"the grand coalition of all {n} players must win")
     if not masks:
         raise EmptyFamily("a game needs at least one losing coalition")
-    closed, inside, _ = _subsets(n, masks)
+    game = SimpleGame(n, tuple(given[m] for m in masks))
+    inside = game._down_closure[1]
     if inside:
         small = (inside & -inside).bit_length() - 1
         large = next(m for m in masks if m & small == small != m)
         raise AntichainViolation(given[small], given[large])
-    game = SimpleGame(n, tuple(given[m] for m in masks))
-    object.__setattr__(game, "_closure", closed)
     return game
 
 
@@ -275,14 +283,15 @@ def derive_maximal_losing(
         raise ValueError(f"player count must be a positive int, got {n}")
     if n > MAX_PLAYERS:
         raise CapExceeded(f"exhaustive scan needs n <= {MAX_PLAYERS}, got {n}")
-    size = 1 << n
-    losing = (m for m in range(size) if not winning_oracle(Coalition(m)))
+    losing = (m for m in range(1 << n) if not winning_oracle(Coalition(m)))
     closed, inside, family = _subsets(n, losing)
     if closed != family:  # some winner lies below a loser
-        lost = bin(family)[:1:-1].ljust(size, "0")  # "1" at index m if m loses
-        for m in range(size):
-            for e in (m | 1 << i for i in range(n)):
-                if lost[m] == "0" and lost[e] == "1":
-                    raise NonMonotoneOracle(Coalition(m), Coalition(e))
+        # per player i, the winners without i that lose once i joins
+        m, i = min(
+            ((w & -w).bit_length() - 1, i)
+            for i in range(n)
+            if (w := family >> (1 << i) & ~family & ~_holders(n, i))
+        )
+        raise NonMonotoneOracle(Coalition(m), Coalition(m | 1 << i))
     maximal = bin(family & ~inside)[:1:-1]
     return tuple(Coalition(m) for m, bit in enumerate(maximal) if bit == "1")

@@ -21,8 +21,6 @@ from .core import (
     Decomposition,
     SimpleGame,
     WeightedGame,
-    _check_fits,
-    _subsets,
     is_winning,
     weighted_is_winning,
 )
@@ -60,18 +58,6 @@ class VerificationReport:
     equivalent: bool
     first_mismatch: Optional[Coalition]
     coalitions_checked: int
-
-
-def _game_losing(game: SimpleGame) -> int:
-    """Bit m set iff mask m is a subset of some maximal losing coalition."""
-    if game._closure is not None:
-        return game._closure
-    n = game.n
-    if n > MAX_PLAYERS:
-        raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
-    masks = [t.mask for t in game.maximal_losing]
-    _check_fits(n, masks)
-    return _subsets(n, masks)[0]
 
 
 def _part_losing(part: WeightedGame) -> int:
@@ -136,7 +122,7 @@ def _winning_table(n: int, losing: int) -> numpy.ndarray:
 
 def simple_game_table(game: SimpleGame) -> numpy.ndarray:
     """Winning truth table over all 2**n coalitions, indexed by mask."""
-    return _winning_table(game.n, _game_losing(game))
+    return _winning_table(game.n, game._down_closure[0])
 
 
 def weighted_game_table(wg: WeightedGame) -> numpy.ndarray:
@@ -159,7 +145,7 @@ def verify_decomposition(game: SimpleGame, dec: Decomposition) -> VerificationRe
         raise DimensionMismatch(
             f"game has {game.n} players but decomposition has {dec.n}"
         )
-    diff = _game_losing(game) ^ _parts_losing(dec.parts)
+    diff = game._down_closure[0] ^ _parts_losing(dec.parts)
     return VerificationReport(
         equivalent=not diff,
         first_mismatch=Coalition((diff & -diff).bit_length() - 1) if diff else None,
@@ -220,7 +206,7 @@ def find_trade_certificate(
         raise CapExceeded(
             f"certificate search needs n <= {cap}, got {game.n}"
         )
-    lost = _game_losing(game)
+    lost = game._down_closure[0]
     losing = [m for m in range(1 << game.n) if lost >> m & 1]
     for i, l1 in enumerate(losing):
         for l2 in losing[i:]:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import time
 
@@ -212,6 +213,46 @@ def test_decompose_output_is_deterministic(four_player_file, tmp_path):
         )
         assert rc == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.fixture
+def closure_builds(monkeypatch):
+    """How often the down-closure of a game (core._subsets) is built."""
+    core = importlib.import_module("simplegames.core")
+    subsets = core._subsets
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return subsets(*args)
+
+    monkeypatch.setattr(core, "_subsets", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--method", "taylor-zwicker"],
+        ["--method", "covering"],
+        ["--method", "covering", "--cover", "COVER"],
+        ["--method", "covering", "--full-code"],
+        ["--method", "pairing"],
+    ],
+    ids=["taylor-zwicker", "covering", "covering-cover", "covering-full-code", "pairing"],
+)
+def test_decompose_and_verify_build_the_closure_once(
+    seven_player_file, tmp_path, closure_builds, options
+):
+    # Loading validates the game on its down-closure; verifying reuses it.
+    cover = tmp_path / "cover.json"
+    assert main(["cover", "--full", "7", "--output", str(cover)]) == EXIT_OK
+    options = [str(cover) if o == "COVER" else o for o in options]
+    out = tmp_path / "dec.json"
+    assert main(["decompose", str(seven_player_file), *options, "--output", str(out)]) == EXIT_OK
+    assert closure_builds == [7]
+    assert main(["verify", str(seven_player_file), str(out)]) == EXIT_OK
+    assert closure_builds == [7, 7]
 
 
 # -------------------------------------------------------------------- cover

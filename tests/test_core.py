@@ -9,6 +9,7 @@ from helpers import four_player_example, random_antichain_game, seven_player_exa
 from simplegames import (
     Coalition,
     Decomposition,
+    SimpleGame,
     WeightedGame,
     derive_maximal_losing,
     full_coalition,
@@ -152,6 +153,24 @@ def test_validate_returns_the_given_coalitions():
     twice = validate_game(3, [Coalition.of(1), *given[:1], Coalition.of(1)])
     assert len(twice.maximal_losing) == 2
     assert twice.maximal_losing[1] is given[0]
+
+
+def test_simple_game_fields_are_its_player_count_and_family():
+    fields = [(f.name, f.type) for f in dataclasses.fields(SimpleGame)]
+    assert fields == [("n", "int"), ("maximal_losing", "tuple[Coalition, ...]")]
+
+
+@pytest.mark.parametrize(
+    "n, family",
+    [(3, [Coalition.of(1, 2)]), (7, [Coalition.of(1, 2, 3), Coalition.of(3, 4, 5, 6)])],
+)
+def test_validated_game_converts_like_one_built_directly(n, family):
+    # The losing set validate_game builds is a cache, not data of the game.
+    checked = validate_game(n, family)
+    direct = SimpleGame(n, tuple(family))
+    assert dataclasses.asdict(checked) == dataclasses.asdict(direct)
+    assert dataclasses.astuple(checked) == dataclasses.astuple(direct)
+    assert dataclasses.astuple(checked) == (n, tuple((c.mask,) for c in family))
 
 
 def test_validate_accepts_empty_coalition_as_member():

@@ -157,3 +157,14 @@ def test_truthy_answers_agree(answer, n):
     assert assert_agrees(n, lambda s: answer(table[s.mask], s)) == game.maximal_losing
     table[rng.randrange(1 << n)] ^= True
     assert_agrees(n, lambda s: answer(table[s.mask], s))
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_late_witnesses_agree(n):
+    # Violations near the grand coalition: the first (winner, extension)
+    # pair lies far into the cube, past half of it when only the grand
+    # coalition loses.
+    full = (1 << n) - 1
+    flipped = full ^ 1 << (n // 2)  # a majority winner that loses
+    assert assert_agrees(n, lambda s: s.mask != full)[0] == "non-monotone"
+    assert assert_agrees(n, lambda s: len(s) > n // 2 and s.mask != flipped)[0] == "non-monotone"

@@ -16,15 +16,17 @@ from simplegames import (
     Decomposition,
     SimpleGame,
     WeightedGame,
+    find_trade_certificate,
     full_cover,
     greedy_cover,
     is_winning,
+    simple_game_table,
     validate_game,
     verify_decomposition,
     weighted_is_winning,
 )
 from simplegames.cli import EXIT_INPUT, main
-from simplegames.errors import PlayerOutOfRange
+from simplegames.errors import CapExceeded, PlayerOutOfRange
 
 BAD_COUNTS = [0, 25, True, 1.5]
 
@@ -146,3 +148,19 @@ def test_player_range_messages(site):
     with pytest.raises(PlayerOutOfRange) as info:
         call()
     assert str(info.value) == expected
+
+
+# -------------------------------------------------------- truth-table cap
+
+
+@pytest.mark.parametrize(
+    "call",
+    [simple_game_table, lambda game: find_trade_certificate(game, cap=25)],
+    ids=["simple_game_table", "find_trade_certificate"],
+)
+def test_truth_table_cap_message(call):
+    # Built directly, so validate_game's player-count check does not apply.
+    game = SimpleGame(25, (Coalition.of(1),))
+    with pytest.raises(CapExceeded) as info:
+        call(game)
+    assert str(info.value) == "truth tables need n <= 24, got 25"
