@@ -21,6 +21,7 @@ from .core import (
     Decomposition,
     SimpleGame,
     WeightedGame,
+    _subsets,
     is_winning,
     weighted_is_winning,
 )
@@ -69,6 +70,8 @@ def _part_losing(part: WeightedGame) -> int:
     two subset sums of players 1..i gives the same set, so on the low levels
     (2i <= n) x is moved up to the next subset sum.  Level i then holds at
     most min(2**i + 1, 2**(n - i)) states, and each costs 2**i bits.
+    :func:`_parts_losing` ORs these sets when there are few parts, and for
+    a part whose maximal losing masks take too long to list.
     """
     weights = part.weights
     n = len(weights)
@@ -104,12 +107,77 @@ def _part_losing(part: WeightedGame) -> int:
     return bits
 
 
-def _parts_losing(parts: tuple[WeightedGame, ...]) -> int:
-    """Bit m set iff mask m loses at least one of the parts."""
+def _maximal_losing(part: WeightedGame, budget: int) -> Optional[list[int]]:
+    """The part's maximal losing masks, or None after ``budget`` search nodes.
+
+    With a positive quota q, players of weight 0 are in every maximal losing
+    coalition and players of weight at least q in none.  A depth-first search
+    decides the other, light, players heaviest first: it adds a player while
+    the sum stays below q, leaves one out only while the sum plus all the
+    players still to come reaches q, and takes every player still to come
+    once they all fit.  Every node then leads to a leaf, and each leaf S is
+    maximal: w(S) < q <= w(S) + w for the lightest light weight w left out.
+    """
+    q = part.quota
+    if not q:
+        return []
+    base = 0
+    light = []
+    for i, w in enumerate(part.weights):
+        if not w:
+            base |= 1 << i
+        elif w < q:
+            light.append((w, 1 << i))
+    if not light:
+        return [base]
+    light.sort(reverse=True)
+    rest = [0] * (len(light) + 1)  # weight and mask of light[j:]
+    rest_bits = rest[:]
+    for j in range(len(light) - 1, -1, -1):
+        rest[j] = rest[j + 1] + light[j][0]
+        rest_bits[j] = rest_bits[j + 1] | light[j][1]
+    found = []
+    stack = [(0, 0, base)]
+    while stack:
+        budget -= 1
+        if budget < 0:
+            return None
+        j, s, mask = stack.pop()
+        if s + rest[j] < q:
+            found.append(mask | rest_bits[j])
+            continue
+        w, bit = light[j]
+        stack.append((j + 1, s, mask))
+        if s + w < q:
+            stack.append((j + 1, s + w, mask | bit))
+    return found
+
+
+def _parts_losing(n: int, parts: tuple[WeightedGame, ...]) -> int:
+    """Bit m set iff mask m loses at least one of the parts.
+
+    Up to 8 * n parts, each part's set comes from :func:`_part_losing` and
+    is ORed in: about parts * 2**n bits of work.  Past that, the union is the
+    down-closure of all the parts' maximal losing masks (:func:`_maximal_losing`),
+    one ``_subsets`` call of n passes over 2**n bits whatever the part count.
+    A part that needs more than 32 * n search nodes to list its masks goes
+    through :func:`_part_losing` instead, so hostile parts cost at most
+    that much more.  The parts the tool writes list one mask per member of
+    their game.  On taylor-zwicker parts (2 CPUs, Python 3.11) the closure
+    was faster from about 10 parts at n=12..14, 60 at n=18, 100-140 at
+    n=20 and 100-250 at n=22..24.  At n=24, the 14 402 to 20 000 parts of
+    20 000 coalitions take 0.3-0.4 s this way and 13-21 s part by part.
+    """
+    closure = len(parts) > 8 * n
     losing = 0
+    masks: list[int] = []
     for part in parts:
-        losing |= _part_losing(part)
-    return losing
+        found = _maximal_losing(part, 32 * n) if closure else None
+        if found is None:
+            losing |= _part_losing(part)
+        else:
+            masks += found
+    return losing | _subsets(n, masks)[0] if masks else losing
 
 
 def _winning_table(n: int, losing: int) -> numpy.ndarray:
@@ -132,7 +200,7 @@ def weighted_game_table(wg: WeightedGame) -> numpy.ndarray:
 
 def decomposition_table(dec: Decomposition) -> numpy.ndarray:
     """Winning truth table of the intersection of the parts, indexed by mask."""
-    return _winning_table(dec.n, _parts_losing(dec.parts))
+    return _winning_table(dec.n, _parts_losing(dec.n, dec.parts))
 
 
 def verify_decomposition(game: SimpleGame, dec: Decomposition) -> VerificationReport:
@@ -145,7 +213,7 @@ def verify_decomposition(game: SimpleGame, dec: Decomposition) -> VerificationRe
         raise DimensionMismatch(
             f"game has {game.n} players but decomposition has {dec.n}"
         )
-    diff = game._down_closure[0] ^ _parts_losing(dec.parts)
+    diff = game._down_closure[0] ^ _parts_losing(dec.n, dec.parts)
     return VerificationReport(
         equivalent=not diff,
         first_mismatch=Coalition((diff & -diff).bit_length() - 1) if diff else None,

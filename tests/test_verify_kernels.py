@@ -5,7 +5,8 @@ per player and one full 2**n sum array per weighted part, and the chunked
 meet-in-the-middle tables that verify used before its losing sets became
 2**n-bit integers.  The kernels in ``simplegames.verify`` must reproduce
 them bit for bit, and ``verify_decomposition`` must report the same
-smallest mismatch.
+smallest mismatch.  Past 8 * n parts verify closes the parts' maximal
+losing masks instead; the per-part memo kernel is the oracle there.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplegames import verify
+from simplegames import core, verify
 from simplegames.core import (
     MAX_PLAYERS,
     MAX_WEIGHT,
@@ -208,6 +209,8 @@ def test_weighted_game_table_matches_oracle(parts):
     table = verify.weighted_game_table(wg)
     assert table.dtype == bool and table.shape == (1 << wg.n,)
     assert np.array_equal(table, oracle_weighted_game_table(wg))
+    closed = core._subsets(wg.n, verify._maximal_losing(wg, 1 << 62))[0]
+    assert closed == verify._part_losing(wg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,3 +320,125 @@ def test_wide_tables_match_oracle(n):
     assert np.array_equal(
         verify.decomposition_table(dec), oracle_decomposition_table(dec)
     )
+
+
+# ------------------------------------------------ maximal losing enumeration
+
+
+def enumerated_cases():
+    """Parts with zero weights, quotas 0, at, above and below the total, and wide weights."""
+    rng = random.Random(1800)
+    for n in range(1, 11):
+        for shape in range(60):
+            if shape % 3 == 0:
+                weights = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n))
+            elif shape % 3 == 1:
+                weights = tuple(rng.randint(0, 1 << 20) for _ in range(n))
+            else:
+                weights = tuple(rng.randint(0, 10) for _ in range(n))
+            total = sum(weights)
+            for quota in {0, 1, total, total + 1, rng.randint(0, total + 2)}:
+                yield WeightedGame(quota, weights)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 8, None])
+def test_maximal_losing_masks_close_to_the_memo_kernel(budget):
+    for part in enumerated_cases():
+        n = part.n
+        losing = verify._part_losing(part)
+        everything = verify._maximal_losing(part, 1 << 62)
+        found = verify._maximal_losing(part, budget or 1 << 62)
+        if found is None:
+            # over budget is a refusal, never a shorter list
+            assert budget is not None
+            continue
+        assert sorted(found) == sorted(everything), part
+        assert len(set(found)) == len(found)
+        for m in found:
+            assert losing >> m & 1, (part, m)
+            for i in range(n):
+                if not m >> i & 1:
+                    assert not losing >> (m | 1 << i) & 1, (part, m, i)
+        assert core._subsets(n, found)[0] == losing, part
+
+
+def test_maximal_losing_of_edge_quotas():
+    weights = (0, 3, 5, 0, 9)
+    assert verify._maximal_losing(WeightedGame(0, weights), 1) == []
+    # nothing reaches a quota above the total: the grand coalition loses
+    assert verify._maximal_losing(WeightedGame(18, weights), 1) == [0b11111]
+    # the players of weight 0 in every one, player 5 (weight 9 >= 8) in none
+    assert sorted(verify._maximal_losing(WeightedGame(8, weights), 99)) == [0b01011, 0b01101]
+    assert verify._maximal_losing(WeightedGame(9, weights), 99) == [0b01111]
+    # a taylor-zwicker part needs no search; two players of weight 1 under
+    # quota 2 take four search nodes
+    assert verify._maximal_losing(WeightedGame(1, (0, 1, 0)), 0) == [0b101]
+    assert sorted(verify._maximal_losing(WeightedGame(2, (1, 1)), 4)) == [0b01, 0b10]
+    assert verify._maximal_losing(WeightedGame(2, (1, 1)), 3) is None
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """The player counts of the closures _parts_losing builds."""
+    subsets = verify._subsets
+    calls = []
+
+    def counted(n, masks):
+        calls.append(n)
+        return subsets(n, masks)
+
+    monkeypatch.setattr(verify, "_subsets", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_parts_losing_on_both_sides_of_the_crossover(n, closure_calls):
+    rng = random.Random(1900 + n)
+    weights = tuple(rng.randrange(1 << 40) for _ in range(n))
+    majority = WeightedGame((n + 1) // 2, (1,) * n)
+    parts = random_parts(n, 8 * n - 2, rng) + (
+        WeightedGame(0, (1,) * n),
+        WeightedGame(sum(weights) // 2, weights),
+        majority,
+    )
+    for count in (8 * n, 8 * n + 1):
+        chosen = parts[-count:]
+        expected = 0
+        for part in chosen:
+            expected |= verify._part_losing(part)
+        assert verify._parts_losing(n, chosen) == expected
+    assert closure_calls == [n]
+    # at n=12 the C(12, 5) maximal losing masks of the majority are over
+    # budget, and its set comes from the memo kernel
+    assert (verify._maximal_losing(majority, 32 * n) is None) == (n == 12)
+    many = (majority,) * (8 * n + 1)
+    assert verify._parts_losing(n, many) == verify._part_losing(majority)
+
+
+def dropped_copies(dec: Decomposition, rng: random.Random):
+    """The decomposition minus each of a few seeded parts, then minus a seeded half."""
+    for index in rng.sample(range(len(dec.parts)), 4):
+        yield Decomposition(dec.n, dec.parts[:index] + dec.parts[index + 1 :])
+    kept = sorted(rng.sample(range(len(dec.parts)), len(dec.parts) // 2))
+    yield Decomposition(dec.n, tuple(dec.parts[i] for i in kept))
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_many_part_dropped_copies_report_the_same_mismatch(n, closure_calls):
+    from simplegames import decompose_covering, decompose_pairing, taylor_zwicker
+
+    rng = random.Random(2000 + n)
+    family = {sum(1 << i for i in rng.sample(range(n), n // 2)) for _ in range(500)}
+    game = SimpleGame(n, tuple(Coalition(m) for m in sorted(family)))
+    game_table = numpy_simple_game_table(game)
+    for build in (taylor_zwicker, decompose_covering, decompose_pairing):
+        dec = build(game)
+        assert len(dec.parts) > 8 * n
+        assert verify.verify_decomposition(game, dec).equivalent
+        for copy in dropped_copies(dec, rng):
+            expected = first_mismatch(game_table, numpy_threshold_table(n, copy.parts))
+            assert expected is not None
+            report = verify.verify_decomposition(game, copy)
+            assert report.first_mismatch == expected
+            assert not report.equivalent
+    assert set(closure_calls) == {n}
