@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 
-from .codes import Code, bounds_report, full_cover, greedy_cover
 from .core import (
     Coalition,
     Decomposition,
@@ -27,9 +26,13 @@ from .core import (
     is_winning,
     validate_game,
 )
-from .decompose import decompose_covering, decompose_pairing, taylor_zwicker
 from .errors import GameError
-from .verify import verify_decomposition
+
+# Each command imports the library modules it runs, inside its function: verify
+# never compiles codes or decompose, bounds and cover never decompose or verify.
+TYPE_CHECKING = False  # type checkers take it as True; typing stays unloaded
+if TYPE_CHECKING:
+    from .codes import Code
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -119,6 +122,8 @@ def save_game(game: SimpleGame, path: str) -> None:
 
 
 def load_code(path: str) -> Code:
+    from .codes import Code
+
     data = _load_json(path)
     n = _player_count(data, path)
     return Code._of_masks(n, _mask_list(data, "centers", path, n))
@@ -160,6 +165,10 @@ def save_decomposition(dec: Decomposition, method: str, path: str) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .codes import full_cover, greedy_cover
+    from .decompose import decompose_covering, decompose_pairing, taylor_zwicker
+    from .verify import verify_decomposition
+
     if args.method != "covering" and (args.cover is not None or args.full_code):
         raise ValueError("--cover/--full-code only apply to --method covering")
     game = load_game(args.input)
@@ -197,6 +206,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    from .codes import bounds_report, full_cover, greedy_cover
+
     if (args.input is None) == (args.full is None):
         raise ValueError("give either a game file or --full N")
     if args.full is None:
@@ -215,6 +226,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .codes import bounds_report
+
     report = bounds_report(args.n)
     kn = report.kn_exact if report.kn_exact is not None else "?"
     row = (
@@ -233,6 +246,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify_decomposition
+
     game = load_game(args.game)
     dec = load_decomposition(args.decomposition)
     report = verify_decomposition(game, dec)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
 
 from .core import Coalition, _check_fits, _check_players
 from .errors import MOutOfRange
@@ -38,6 +38,7 @@ _KNOWN_BOUNDS = {
 BOUNDS_TABLE_MIN_N = min(_KNOWN_BOUNDS)
 BOUNDS_TABLE_MAX_N = max(_KNOWN_BOUNDS)
 
+TYPE_CHECKING = False  # type checkers take it as True; typing stays unloaded
 if TYPE_CHECKING:  # bounds_report imports it, to keep it out of start-up
     from fractions import Fraction
 

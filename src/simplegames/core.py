@@ -10,9 +10,9 @@ refused where they enter.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AntichainViolation,

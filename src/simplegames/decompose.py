@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .codes import Code, greedy_cover
 from .core import Coalition, Decomposition, SimpleGame, WeightedGame
@@ -65,7 +64,7 @@ class Cluster:
             )
 
 
-def _side(center: int, member: int) -> Optional[ClusterCase]:
+def _side(center: int, member: int) -> ClusterCase | None:
     """The shape a member gives a cluster around the center; None beyond distance 1."""
     flip = center ^ member
     if not flip:
@@ -170,7 +169,7 @@ def cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
 
 
 def decompose_covering(
-    game: SimpleGame, code: Optional[Code] = None
+    game: SimpleGame, code: Code | None = None
 ) -> Decomposition:
     """Decompose via a radius-1 cover of the maximal losing coalitions.
 

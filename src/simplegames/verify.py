@@ -11,9 +11,9 @@ numpy.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional, Union
 
 from .core import (
     MAX_PLAYERS,
@@ -30,7 +30,7 @@ from .errors import CapExceeded, DimensionMismatch, UnbalancedTrade
 # Certificate search scans losing pairs times submasks, roughly 4**n work.
 TRADE_SEARCH_MAX_PLAYERS = 10
 
-GameLike = Union[SimpleGame, WeightedGame, Decomposition, Callable[[Coalition], bool]]
+GameLike = SimpleGame | WeightedGame | Decomposition | Callable[[Coalition], bool]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class VerificationReport:
     """
 
     equivalent: bool
-    first_mismatch: Optional[Coalition]
+    first_mismatch: Coalition | None
     coalitions_checked: int
 
 
@@ -107,7 +107,7 @@ def _part_losing(part: WeightedGame) -> int:
     return bits
 
 
-def _maximal_losing(part: WeightedGame, budget: int) -> Optional[list[int]]:
+def _maximal_losing(part: WeightedGame, budget: int) -> list[int] | None:
     """The part's maximal losing masks, or None after ``budget`` search nodes.
 
     With a positive quota q, players of weight 0 are in every maximal losing
@@ -261,7 +261,7 @@ def check_trade_certificate(game: GameLike, cert: TradeCertificate) -> bool:
 
 def find_trade_certificate(
     game: SimpleGame, cap: int = TRADE_SEARCH_MAX_PLAYERS
-) -> Optional[TradeCertificate]:
+) -> TradeCertificate | None:
     """Search all balanced two-trades for a witness of non-weightedness.
 
     Enumerates pairs of losing coalitions in canonical order and, for each,

@@ -1,9 +1,10 @@
 """Guards on the public contract: the exported names, verify's independence,
 the functions the benchmark tracer wraps, the library names tests import,
-and a command line that runs without numpy."""
+a command line that runs without numpy, and the modules each command loads."""
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy  # noqa: F401  (loaded for the in-process run to compare with)
+import pytest
 
 import simplegames
 from simplegames.cli import main
@@ -60,6 +62,63 @@ def test_public_names_are_pinned():
     assert all(hasattr(simplegames, name) for name in PUBLIC_NAMES)
 
 
+def test_public_names_are_the_objects_of_their_home_modules():
+    # Each name is defined at the top level of exactly one module, and the
+    # package hands out that module's object.
+    package = Path(simplegames.__file__).parent
+    homes = {}
+    for module in ("core", "codes", "decompose", "verify"):
+        for node in ast.parse((package / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                homes.setdefault(name, []).append(module)
+    for name in PUBLIC_NAMES:
+        assert len(homes.get(name, [])) == 1, name
+        home = importlib.import_module(f"simplegames.{homes[name][0]}")
+        assert getattr(simplegames, name) is getattr(home, name)
+
+
+# Lists, after a bare import of the package: the public names dir() misses,
+# the submodules reached as attributes, the names a star import binds, and
+# the public names the package then still lacks in its own namespace.
+LAZY_EXPORTS = """
+import json, simplegames
+missing = sorted(set(simplegames.__all__) - set(dir(simplegames)))
+modules = ("codes", "core", "decompose", "errors", "verify")
+reached = [getattr(simplegames, m).__name__ for m in modules]
+star = {}
+exec("from simplegames import *", star)
+uncached = sorted(set(simplegames.__all__) - set(vars(simplegames)))
+print(json.dumps([missing, reached, sorted(set(star) - {"__builtins__"}), uncached]))
+"""
+
+
+def test_public_names_load_on_first_use():
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", LAZY_EXPORTS],
+        env=dict(os.environ, PYTHONPATH=str(Path(simplegames.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    missing, reached, star, uncached = json.loads(child.stdout)
+    assert missing == []
+    assert reached == [
+        f"simplegames.{m}" for m in ("codes", "core", "decompose", "errors", "verify")
+    ]
+    assert star == sorted(PUBLIC_NAMES)
+    assert uncached == []
+    with pytest.raises(
+        AttributeError, match="^module 'simplegames' has no attribute 'no_such_name'$"
+    ):
+        simplegames.no_such_name
+
+
 def test_verify_does_not_import_decompose():
     # verify is the independent oracle for every decomposition.
     source = Path(simplegames.__file__).with_name("verify.py").read_text()
@@ -87,6 +146,33 @@ def test_traced_names_are_module_level_functions():
         functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         missing = set(names) - functions
         assert not missing, f"simplegames.{module} has no function {sorted(missing)}"
+
+
+def test_cli_looks_library_functions_up_when_it_calls_them(tmp_path, monkeypatch):
+    # The tracer swaps functions on their home modules; a command holding a
+    # reference of its own would run past the wrapper and lose the span.
+    calls = []
+
+    def count(module: str, name: str) -> None:
+        home = importlib.import_module(f"simplegames.{module}")
+        original = getattr(home, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(home, name, counted)
+
+    count("verify", "verify_decomposition")
+    count("decompose", "taylor_zwicker")
+    game, dec = tmp_path / "game.json", tmp_path / "tz.json"
+    game.write_text(json.dumps({"n": 3, "maximal_losing": [[1, 2], [3]]}))
+    argv = ["decompose", str(game), "--method", "taylor-zwicker", "--output", str(dec)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        assert calls == ["taylor_zwicker", "verify_decomposition"]
+        assert main(["verify", str(game), str(dec)]) == 0
+    assert calls == ["taylor_zwicker", "verify_decomposition", "verify_decomposition"]
 
 
 def test_tests_import_only_public_names_from_the_library():
@@ -220,6 +306,48 @@ def test_decompose_and_verify_leave_exact_arithmetic_unloaded(tmp_path):
     results, loaded = map(json.loads, child.stdout.splitlines())
     assert [rc for rc, _ in results] == [0] * 5 + [3]
     assert loaded == []
+
+
+# Imports the package (argv[1] is null) or the CLI, runs the command line given
+# as JSON in argv[1] if any, and prints on its last line which simplegames
+# modules are loaded and whether typing is.
+MODULES_LOADED = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import simplegames
+else:
+    from simplegames.cli import main
+    if argv:
+        main(argv)
+loaded = sorted(m for m in sys.modules if m.startswith("simplegames."))
+print(json.dumps([[m.split(".")[1] for m in loaded], "typing" in sys.modules]))
+"""
+
+
+def loaded_modules(argv: list[str] | None) -> list:
+    # -S skips site, whose .pth files may import typing of their own.
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", MODULES_LOADED, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(Path(simplegames.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    assert loaded_modules(None) == [[], False]
+    assert loaded_modules([]) == [["cli", "core", "errors"], False]
+    runs = {
+        "bounds": ["cli", "codes", "core", "errors"],
+        "cover": ["cli", "codes", "core", "errors"],
+        "decompose": ["cli", "codes", "core", "decompose", "errors", "verify"],
+        "verify": ["cli", "core", "errors", "verify"],
+    }
+    for argv in cli_commands(tmp_path / "work"):
+        assert loaded_modules(argv) == [runs[argv[0]], False], argv
 
 
 def test_numpy_is_imported_only_by_the_table_adapter():
