@@ -8,9 +8,7 @@ n = 2**m - 1; for arbitrary target sets a greedy set cover does the job.
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,16 +118,13 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     candidate covering the most uncovered targets, ties broken by smallest
     mask.  Centers are returned in selection order.
 
-    Each candidate keeps the number of uncovered targets in its ball: the
-    counts are made once, and each target a chosen center newly covers
-    takes one off every candidate in its own ball, k * (n + 1) decrements
-    for k targets in all.  A heap holds the candidates under
-    ``(-count, mask)`` with keys that may be stale: the popped top is taken
-    when its key still equals its count, and otherwise goes back under its
-    count, or is dropped at 0.  Counts only fall, so every other key bounds
-    its candidate's count from above: nobody covers more than the winner,
-    and one covering as many sits behind it only with a larger mask.  That
-    is the pick of a full rescan.
+    One byte per mask counts the uncovered targets in its ball, at most
+    n + 1: the counts are made once, and each target a chosen center newly
+    covers takes one off every mask in its own ball, k * (n + 1) decrements
+    for k targets in all.  The next center is the first mask, from the last
+    center on, whose count is ``top``, the highest count left.  Counts only
+    fall, so no mask before the last center can reach ``top`` again; when
+    none is left, ``top`` steps down and the scan starts over from mask 0.
     """
     _check_players(n, "length")
     target_masks = sorted({t.mask for t in targets})
@@ -137,27 +132,23 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
         raise ValueError("need at least one target to cover")
     _check_fits(n, target_masks, "target ")
     ball = [0] + [1 << i for i in range(n)]  # the flips from a mask to its ball
-    # a plain dict: its subscripts are faster than a Counter's
-    count = dict(Counter(t ^ f for t in target_masks for f in ball))
-    # (-count, mask) packed into the one int -count * 2**n + mask, which
-    # orders the same and compares faster than a tuple
-    low = (1 << n) - 1
-    heap = [-k << n | c for c, k in count.items()]
-    heapq.heapify(heap)
+    count = bytearray(1 << n)
+    for t in target_masks:
+        for f in ball:
+            count[t ^ f] += 1
     uncovered = set(target_masks)
     chosen: list[int] = []
+    top, c = n + 1, 0
     while uncovered:
-        key = heapq.heappop(heap)  # never empty: an uncovered target counts itself
-        c = key & low
-        fresh = count[c]
-        if fresh == -(key >> n):
-            chosen.append(c)
-            for t in [c ^ f for f in ball if c ^ f in uncovered]:
-                uncovered.remove(t)
-                for f in ball:
-                    count[t ^ f] -= 1
-        elif fresh:
-            heapq.heappush(heap, -fresh << n | c)
+        c = count.find(top, c)
+        if c < 0:  # top never reaches 0: an uncovered target counts itself
+            top, c = top - 1, 0
+            continue
+        chosen.append(c)
+        for t in [c ^ f for f in ball if c ^ f in uncovered]:
+            uncovered.remove(t)
+            for f in ball:
+                count[t ^ f] -= 1
     return Code._of_masks(n, chosen)
 
 

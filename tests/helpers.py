@@ -76,6 +76,18 @@ def secded_games(draw, max_n=12) -> SimpleGame:
     return validate_game(n, secded_family(n, w))
 
 
+def random_layer(n: int, w: int, size: int, seed: int) -> list[int]:
+    """``size`` distinct seeded coalitions of w out of n players, as masks.
+
+    Coalitions of one size form an antichain, so any such family is a game.
+    """
+    rng = random.Random(seed)
+    family: set[int] = set()
+    while len(family) < size:
+        family.add(sum(1 << i for i in rng.sample(range(n), w)))
+    return sorted(family)
+
+
 def write_hostile_verify_files(directory: Path) -> tuple[Path, Path]:
     """An n=24 game file and a decomposition file that does not match it.
 

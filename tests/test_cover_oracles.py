@@ -2,16 +2,20 @@
 
 The oracles below are earlier versions of ``greedy_cover``,
 ``validate_game``, ``hamming_code`` and ``full_cover``, kept verbatim apart
-from their names: a rescan of every candidate ball in each greedy round,
-a lazy greedy that re-counts only the popped top of a heap, a check of
-every pair of coalitions for containment, a syndrome computed mask by mask
-over the whole cube, and a table of base lengths with a final sort.
+from their names and from the library's private checks, spelled out here:
+a rescan of every candidate ball in each greedy round, a lazy greedy that
+re-counts only the popped top of a heap, a greedy that keeps every
+candidate's count and a heap of packed, possibly stale ``(-count, mask)``
+keys, a check of every pair of coalitions for containment, a syndrome
+computed mask by mask over the whole cube, and a table of base lengths with
+a final sort.
 ``simplegames`` must reproduce them exactly: the same centers in the same
 order, the same canonical game, or the same error naming the same
 coalitions.
 """
 
 import heapq
+from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
@@ -19,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reduce_to_maximal, secded_family, secded_games
+from helpers import random_layer, reduce_to_maximal, secded_family, secded_games
 from simplegames import (
     Coalition,
     Code,
@@ -128,6 +132,58 @@ def oracle_lazy_greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
             uncovered.difference_update(_ball(c, n))
         elif fresh:
             heapq.heappush(heap, (-fresh, c))
+    return Code(n, tuple(Coalition(c) for c in chosen))
+
+
+def oracle_packed_heap_greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
+    """Cover every target within distance 1 using greedy set cover.
+
+    Candidate centers are exactly the coalitions within distance 1 of some
+    target; any ball that covers a target has its center there, so nothing
+    is lost by skipping the rest of the cube.  Each round picks the
+    candidate covering the most uncovered targets, ties broken by smallest
+    mask.  Centers are returned in selection order.
+
+    Each candidate keeps the number of uncovered targets in its ball: the
+    counts are made once, and each target a chosen center newly covers
+    takes one off every candidate in its own ball, k * (n + 1) decrements
+    for k targets in all.  A heap holds the candidates under
+    ``(-count, mask)`` with keys that may be stale: the popped top is taken
+    when its key still equals its count, and otherwise goes back under its
+    count, or is dropped at 0.  Counts only fall, so every other key bounds
+    its candidate's count from above: nobody covers more than the winner,
+    and one covering as many sits behind it only with a larger mask.  That
+    is the pick of a full rescan.
+    """
+    _oracle_check_length(n)
+    target_masks = sorted({t.mask for t in targets})
+    if not target_masks:
+        raise ValueError("need at least one target to cover")
+    for t in target_masks:
+        if t >> n:
+            raise PlayerOutOfRange(f"target {Coalition(t)} does not fit into {n} players")
+    ball = [0] + [1 << i for i in range(n)]  # the flips from a mask to its ball
+    # a plain dict: its subscripts are faster than a Counter's
+    count = dict(Counter(t ^ f for t in target_masks for f in ball))
+    # (-count, mask) packed into the one int -count * 2**n + mask, which
+    # orders the same and compares faster than a tuple
+    low = (1 << n) - 1
+    heap = [-k << n | c for c, k in count.items()]
+    heapq.heapify(heap)
+    uncovered = set(target_masks)
+    chosen: list[int] = []
+    while uncovered:
+        key = heapq.heappop(heap)  # never empty: an uncovered target counts itself
+        c = key & low
+        fresh = count[c]
+        if fresh == -(key >> n):
+            chosen.append(c)
+            for t in [c ^ f for f in ball if c ^ f in uncovered]:
+                uncovered.remove(t)
+                for f in ball:
+                    count[t ^ f] -= 1
+        elif fresh:
+            heapq.heappush(heap, -fresh << n | c)
     return Code(n, tuple(Coalition(c) for c in chosen))
 
 
@@ -244,7 +300,13 @@ def layer(n: int, k: int) -> list[Coalition]:
 # -------------------------------------------------------------- greedy cover
 
 
-GREEDY_ORACLES = [oracle_greedy_cover, oracle_lazy_greedy_cover]
+GREEDY_ORACLES = [
+    oracle_greedy_cover,
+    oracle_lazy_greedy_cover,
+    oracle_packed_heap_greedy_cover,
+]
+# The full rescan is too slow on larger families.
+FAST_GREEDY_ORACLES = GREEDY_ORACLES[1:]
 
 
 @st.composite
@@ -283,10 +345,12 @@ def assert_coalition_tuple(centers) -> None:
     assert type(centers) is tuple and all(type(c) is Coalition for c in centers)
 
 
-def assert_greedy_matches_oracles(n: int, targets: list[Coalition]) -> None:
+def assert_greedy_matches_oracles(
+    n: int, targets: list[Coalition], oracles=GREEDY_ORACLES
+) -> None:
     centers = greedy_cover(n, targets).centers
     assert_coalition_tuple(centers)
-    for oracle in GREEDY_ORACLES:
+    for oracle in oracles:
         assert centers == oracle(n, targets).centers, oracle.__name__
 
 
@@ -308,7 +372,9 @@ def test_greedy_cover_of_whole_cube_matches_oracle(n):
     assert_greedy_matches_oracles(n, coalitions(range(1 << n)))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+# At n = MAX_PLAYERS one target gives 25 masks a count of 1, so the scan
+# for the top count runs over all 2**24 masks at each count from 25 down.
+@pytest.mark.parametrize("n", [*range(1, 11), MAX_PLAYERS])
 def test_greedy_cover_of_single_target_matches_oracle(n):
     for mask in (0, (1 << n) - 1, 0b1010101010 & ((1 << n) - 1)):
         assert_greedy_matches_oracles(n, [Coalition(mask)])
@@ -319,20 +385,18 @@ def test_greedy_cover_of_middle_layer_matches_oracle(n):
     assert_greedy_matches_oracles(n, layer(n, n // 2))
 
 
-# The full rescan is too slow from here on; the lazy oracle alone checks.
-
-
 @pytest.mark.parametrize("n", range(11, 15))
 def test_greedy_cover_of_larger_cube_matches_lazy_oracle(n):
-    cube = coalitions(range(1 << n))
-    assert greedy_cover(n, cube).centers == oracle_lazy_greedy_cover(n, cube).centers
+    assert_greedy_matches_oracles(n, coalitions(range(1 << n)), FAST_GREEDY_ORACLES)
 
 
-@pytest.mark.parametrize("n, w", [(14, 7), (15, 5), (16, 8)])
+@pytest.mark.parametrize("n, w", [(14, 7), (15, 5), (16, 8), (MAX_PLAYERS, 12)])
 def test_greedy_cover_of_large_layers_matches_lazy_oracle(n, w):
-    for targets in (layer(n, w), secded_family(n, w)):
-        expected = oracle_lazy_greedy_cover(n, targets).centers
-        assert greedy_cover(n, targets).centers == expected
+    if n < MAX_PLAYERS:
+        for targets in (layer(n, w), secded_family(n, w)):
+            assert_greedy_matches_oracles(n, targets, FAST_GREEDY_ORACLES)
+    else:  # 40 of the layer's 2.7 million coalitions: few enough for the rescan
+        assert_greedy_matches_oracles(n, coalitions(random_layer(n, w, 40, seed=24)))
 
 
 @pytest.mark.parametrize(

@@ -14,15 +14,15 @@ coalitions of 12 out of 24 players each verify within a few seconds.
 The full-cube cover of 20 players: writing its 65 536 centers stays within
 a fixed memory margin of a command that loads the package and does nothing
 else.  Writing the full-cube cover of 22 players, decomposing a sparse n=24
-game around the full-cube cover, verifying five n=24 parts with random
-heavy weights, and deriving the maximal losing coalitions of the 20-player
-majority game each stay under a fixed peak.
+game around the full-cube cover, decomposing 20 000 and 40 random
+coalitions of 12 out of 24 players around the greedy cover, verifying five
+n=24 parts with random heavy weights, and deriving the maximal losing
+coalitions of the 20-player majority game each stay under a fixed peak.
 """
 
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -32,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import simplegames
-from helpers import write_hostile_verify_files
+from helpers import random_layer, write_hostile_verify_files
 from simplegames import (
     Coalition,
     decompose_covering,
@@ -74,10 +74,7 @@ VERIFY_24_MAX_S = 5
 
 
 def test_many_part_decompositions_at_24_verify_in_seconds():
-    rng = random.Random(2024)
-    family = set()
-    while len(family) < 20_000:  # coalitions of one size form an antichain
-        family.add(sum(1 << i for i in rng.sample(range(24), 12)))
+    family = random_layer(24, 12, 20_000, seed=2024)
     game = validate_game(24, [Coalition(m) for m in family])
     for dec in (taylor_zwicker(game), decompose_covering(game)):
         start = time.process_time()
@@ -188,18 +185,38 @@ def test_cover_full_22_stays_under_a_fixed_peak(tmp_path):
     assert peak < COVER_FULL_22_MAX_MIB
 
 
+def write_random_layer_game(path: Path, size: int, seed: int) -> Path:
+    """A game file of ``size`` seeded random coalitions of 12 out of 24 players."""
+    family = [Coalition(m).players for m in random_layer(24, 12, size, seed)]
+    path.write_text(json.dumps({"n": 24, "maximal_losing": family}))
+    return path
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_full_code_decomposition_at_24_stays_under_a_fixed_peak(tmp_path):
-    rng = random.Random(24)
-    family = set()
-    while len(family) < 40:  # coalitions of one size form an antichain
-        family.add(tuple(sorted(rng.sample(range(1, 25), 12))))
-    game = tmp_path / "game.json"
-    game.write_text(json.dumps({"n": 24, "maximal_losing": sorted(family)}))
+    game = write_random_layer_game(tmp_path / "game.json", 40, seed=24)
     argv = ["decompose", str(game), "--method", "covering", "--full-code"]
     peak = cli_max_rss_mib(*argv, "--output", "dec.json", cwd=tmp_path)
     assert json.loads((tmp_path / "dec.json").read_text())["part_count"] == 40
     assert peak < FULL_CODE_24_MAX_MIB
+
+
+# Peak RSS of `decompose --method covering` through the greedy cover, by the
+# number of random coalitions of 12 out of 24 players, in MiB.  20 000: about
+# 77 MiB with a dict of candidate counts and a heap of their keys, about
+# 49 MiB with one byte of count per mask.  40: about 36 and 39 MiB; the
+# count array takes 2**24 bytes however few coalitions there are.
+GREEDY_24_MAX_MIB = {20_000: 64, 40: 48}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("size", GREEDY_24_MAX_MIB)
+def test_greedy_covering_decomposition_at_24_stays_under_a_fixed_peak(tmp_path, size):
+    game = write_random_layer_game(tmp_path / "game.json", size, seed=24)
+    argv = ["decompose", str(game), "--method", "covering", "--output", "dec.json"]
+    peak = cli_max_rss_mib(*argv, cwd=tmp_path)
+    assert json.loads((tmp_path / "dec.json").read_text())["n"] == 24
+    assert peak < GREEDY_24_MAX_MIB[size]
 
 
 # Peak RSS of derive_maximal_losing on the 20-player majority game, in MiB:
