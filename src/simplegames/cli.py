@@ -60,15 +60,15 @@ def _load_json(path: str) -> dict:
 # Output files are json.dumps(obj, indent=2) + "\n" and end in a list.  The C
 # encoder serves only indent=None, so its items are rendered here, in blocks.
 _BLOCK = 4096
-_PART = '    {\n      "quota": %d,\n      "weights": [\n        %s\n      ]\n    }'
+_PART = '    {\n      "quota": %s,\n      "weights": [\n        %s\n      ]\n    }'
 
 
 def _save_object(path: str, fields: dict, key: str, items, render) -> None:
+    # render(block) is the text of up to _BLOCK items, joined by ",\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({**fields, key: []}, indent=2)[:-4] + "[")  # cut "[]\n}"
         for start in range(0, len(items), _BLOCK):
-            block = ",\n".join(map(render, items[start : start + _BLOCK]))
-            f.write((",\n" if start else "\n") + block)
+            f.write((",\n" if start else "\n") + render(items[start : start + _BLOCK]))
         f.write("\n  ]\n}\n" if items else "]\n}\n")
 
 
@@ -82,7 +82,10 @@ def _save_masks(path: str, n: int, key: str, masks) -> None:
         body = lo[m & 255] + mid[m >> 8 & 255] + hi[m >> 16]
         return f"    [{body[1:]}\n    ]" if body else "    []"
 
-    _save_object(path, {"n": n}, key, masks, render)
+    def render_block(block) -> str:
+        return ",\n".join(map(render, block))
+
+    _save_object(path, {"n": n}, key, masks, render_block)
 
 
 def _player_count(data: dict, path: str) -> int:
@@ -154,8 +157,14 @@ def load_decomposition(path: str) -> Decomposition:
 
 
 def save_decomposition(dec: Decomposition, method: str, path: str) -> None:
-    def render(p: WeightedGame) -> str:
-        return _PART % (p.quota, ",\n        ".join(map(str, p.weights)))
+    part = _PART % ("%d", ",\n        ".join(["%d"] * dec.n))  # n + 1 slots
+
+    def render(block: tuple[WeightedGame, ...]) -> str:
+        values = []
+        for p in block:
+            values.append(p.quota)
+            values += p.weights
+        return ",\n".join([part] * len(block)) % tuple(values)
 
     fields = {"n": dec.n, "method": method, "part_count": len(dec.parts)}
     _save_object(path, fields, "parts", dec.parts, render)
@@ -165,7 +174,6 @@ def save_decomposition(dec: Decomposition, method: str, path: str) -> None:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    from .codes import full_cover, greedy_cover
     from .decompose import decompose_covering, decompose_pairing, taylor_zwicker
     from .verify import verify_decomposition
 
@@ -176,6 +184,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         dec = taylor_zwicker(game)
         bound, note = len(game.maximal_losing), "maximal losing coalitions"
     elif args.method == "covering":
+        from .codes import full_cover, greedy_cover
+
         if args.cover is not None:
             code = load_code(args.cover)
             if code.n != game.n:

@@ -47,11 +47,23 @@ class Code:
 
     The centers are held as int masks, first occurrence kept; ``centers``
     builds their Coalition tuple on its first read.  Two codes are equal when
-    their lengths and their centers, in order, are.
+    their lengths and their centers, in order, are.  A code from
+    :func:`full_cover` holds its syndrome table instead, names each mask's
+    nearest center from it, and lists its masks only when they are read.
     """
 
     n: int
-    _masks: tuple[int, ...]
+    _syndromes = None  # a full cover's table; not a field
+
+    def _full_cover_masks(self) -> tuple[int, ...]:
+        """A full cover's centers in ascending mask order (see full_cover)."""
+        base = [mask for mask, s in enumerate(self._syndromes) if s == 0]
+        pads = range(0, 1 << self.n, len(self._syndromes))  # subsets after b
+        return tuple(c | pad for pad in pads for c in base)
+
+    # A field that every code but a full cover sets on the instance, which
+    # hides this property; a full cover lists its masks on the first read.
+    _masks: tuple[int, ...] = cached_property(_full_cover_masks)
 
     def __init__(self, n: int, centers: Iterable[Coalition]) -> None:
         self._hold(n, (c.mask for c in centers))
@@ -71,12 +83,28 @@ class Code:
         object.__setattr__(self, "_masks", masks)
         return self
 
+    def _nearest(self, x: int) -> int | None:
+        """A full cover's one center within distance 1 of mask x, else None.
+
+        The center flips the player that the syndrome of x names, or no one
+        when the syndrome is 0.  A mask with players beyond the code's
+        length is covered only when it is a center plus one such player.
+        """
+        s = self._syndromes[x & len(self._syndromes) - 1]
+        wide = x >> self.n << self.n
+        if not wide:
+            return x ^ (1 << s >> 1)  # player s is bit s - 1; s = 0 flips no one
+        return x ^ wide if s == 0 and wide.bit_count() == 1 else None
+
     @cached_property
     def centers(self) -> tuple[Coalition, ...]:
         return tuple(map(Coalition, self._masks))
 
     def __len__(self) -> int:
-        return len(self._masks)
+        if self._syndromes is None:
+            return len(self._masks)
+        pads = (1 << self.n) // len(self._syndromes)
+        return self._syndromes.count(0) * pads  # codewords times pads
 
 
 @dataclass(frozen=True)
@@ -162,16 +190,18 @@ def full_cover(n: int) -> Code:
     b-cube (for b = 1 the one codeword {} covers both coalitions).  Each
     codeword is padded with every subset of the remaining n - b players,
     which gives 2**(n - b) * 2**(b - m) centers, the exact minimum when
-    n = b.
+    n = b.  The code keeps the syndrome table and lists its centers only
+    when they are read.
     """
     _check_players(n, "length")
     b = (1 << ((n + 1).bit_length() - 1)) - 1
     syndromes = [0]  # syndromes[mask] for every mask on the players seen so far
     for j in range(1, b + 1):
         syndromes += [s ^ j for s in syndromes]
-    base = [mask for mask, s in enumerate(syndromes) if s == 0]
-    pads = range(0, 1 << n, 1 << b)  # every subset of the players after b
-    return Code._of_masks(n, [c | pad for pad in pads for c in base])
+    code = Code.__new__(Code)
+    object.__setattr__(code, "n", n)
+    object.__setattr__(code, "_syndromes", syndromes)
+    return code
 
 
 def covering_radius_at_most(code: Code, targets: Iterable[Coalition], r: int) -> bool:

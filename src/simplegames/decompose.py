@@ -25,9 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .codes import Code, greedy_cover
 from .core import Coalition, Decomposition, SimpleGame, WeightedGame
 from .errors import BadPairDistance, MixedCluster, NotACover
+
+# decompose_covering imports greedy_cover when it needs one, so that the
+# other methods never load codes.
+TYPE_CHECKING = False  # type checkers take it as True; typing stays unloaded
+if TYPE_CHECKING:
+    from .codes import Code
 
 
 class ClusterCase(Enum):
@@ -114,34 +119,66 @@ def taylor_zwicker(game: SimpleGame) -> Decomposition:
     return Decomposition(game.n, parts)
 
 
+def _groups(game: SimpleGame, code: Code) -> list[tuple[int, list[Coalition], int]]:
+    """Each used center, in code order, with its members and their spread.
+
+    Every maximal losing coalition goes to a nearest center: itself when it
+    is a center, else the smallest center at distance 1.  A full cover names
+    it by syndrome (its code order is ascending); any other code is searched
+    over the coalition's radius-1 ball.  The spread is the OR of member ^
+    center.  Raises NotACover for the first coalition left uncovered.
+    """
+    family = game.maximal_losing
+    masks = [x.mask for x in family]
+    if code._syndromes is not None:
+        rank = None
+        near = list(map(code._nearest, masks))
+    else:
+        rank = {c: i for i, c in enumerate(code._masks)}
+        # A center may hold players beyond game.n when the code is longer.
+        flips = [1 << i for i in range(max(game.n, code.n))]
+        # Distance 0 wins over distance 1, and the smallest mask breaks a tie.
+        near = [
+            x if x in rank else min([x ^ f for f in flips if x ^ f in rank], default=None)
+            for x in masks
+        ]
+    members: dict[int, list[Coalition]] = {}
+    spread: dict[int, int] = {}
+    for x, m, c in zip(family, masks, near):
+        if c is None:
+            raise NotACover(x)
+        members.setdefault(c, []).append(x)
+        spread[c] = spread.get(c, 0) | m ^ c
+    used = sorted(members) if rank is None else sorted(members, key=rank.__getitem__)
+    return [(c, members[c], spread[c]) for c in used]
+
+
+def _cluster(center: int, members: list[Coalition]) -> Cluster:
+    """The Cluster of a group, with the shape its first member gives it."""
+    return Cluster(Coalition(center), tuple(members), _side(center, members[0].mask))
+
+
+def _cluster_part(n: int, center: int, spread: int) -> WeightedGame:
+    """The weighted game of a cluster, from its center and spread alone."""
+    if not spread:
+        return _tiered(n, 1, 1, (center, 0))
+    if spread & center:
+        q = spread.bit_count()
+        return _tiered(n, q, q, (spread, 1), (center, 0))
+    return _tiered(n, 2, 2, (center, 0), (spread, 1))
+
+
 def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
     """Assign every maximal losing coalition to a covering center.
 
     Each coalition goes to a nearest center (distance 0 or 1), ties broken
     by smallest center mask.  Clusters come back in the code's center
-    order with empty ones dropped.  Centers are found by looking up the
-    radius-1 ball of each coalition, so the cost is O(|family| * n).
+    order with empty ones dropped, at a cost of O(|family| * n).
 
     Raises NotACover if some maximal losing coalition is farther than
     distance 1 from every center.
     """
-    masks = code._masks
-    index = {c: i for i, c in enumerate(masks)}
-    # A center may hold players beyond game.n when the code is longer.
-    flips = [1 << i for i in range(max(game.n, code.n))]
-    groups: dict[int, tuple[ClusterCase, list[Coalition]]] = {}
-    for x in game.maximal_losing:
-        c = x.mask
-        if c not in index:  # distance 0 wins over distance 1
-            near = [c ^ f for f in flips if c ^ f in index]
-            if not near:
-                raise NotACover(x)
-            c = min(near)
-        groups.setdefault(index[c], (_side(c, x.mask), []))[1].append(x)
-    return [
-        Cluster(Coalition(masks[i]), tuple(members), case)
-        for i, (case, members) in sorted(groups.items())
-    ]
+    return [_cluster(c, members) for c, members, _ in _groups(game, code)]
 
 
 def cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
@@ -157,15 +194,10 @@ def cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
     center-only cluster is the single-coalition game.
     """
     c = cluster.center.mask
-    if cluster.case_tag is ClusterCase.EXACTLY_CENTER:
-        return _tiered(n, 1, 1, (c, 0))
     spread = 0
     for m in cluster.members:
         spread |= m.mask ^ c
-    if cluster.case_tag is ClusterCase.BELOW_CENTER:
-        q = spread.bit_count()
-        return _tiered(n, q, q, (spread, 1), (c, 0))
-    return _tiered(n, 2, 2, (c, 0), (spread, 1))
+    return _cluster_part(n, c, spread)
 
 
 def decompose_covering(
@@ -177,10 +209,18 @@ def decompose_covering(
     first.  The number of parts never exceeds the number of centers.
     """
     if code is None:
+        from .codes import greedy_cover
+
         code = greedy_cover(game.n, game.maximal_losing)
-    clusters = cluster_partition(game, code)
-    parts = tuple(cluster_to_weighted(cl, game.n) for cl in clusters)
-    return Decomposition(game.n, parts)
+    parts = []
+    for c, members, spread in _groups(game, code):
+        side = spread & c
+        if len(members) != max(spread.bit_count(), 1) or side and side != spread:
+            # Only a game built without validate_game gets here: Cluster
+            # raises MixedCluster unless the members merely repeat.
+            _cluster(c, members)
+        parts.append(_cluster_part(game.n, c, spread))
+    return Decomposition(game.n, tuple(parts))
 
 
 def pair_partition(game: SimpleGame) -> PairingPlan:

@@ -340,14 +340,18 @@ def loaded_modules(argv: list[str] | None) -> list:
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert loaded_modules(None) == [[], False]
     assert loaded_modules([]) == [["cli", "core", "errors"], False]
+    # Keyed by command, and for decompose by method: only covering needs codes.
     runs = {
         "bounds": ["cli", "codes", "core", "errors"],
         "cover": ["cli", "codes", "core", "errors"],
-        "decompose": ["cli", "codes", "core", "decompose", "errors", "verify"],
+        "covering": ["cli", "codes", "core", "decompose", "errors", "verify"],
+        "pairing": ["cli", "core", "decompose", "errors", "verify"],
+        "taylor-zwicker": ["cli", "core", "decompose", "errors", "verify"],
         "verify": ["cli", "core", "errors", "verify"],
     }
     for argv in cli_commands(tmp_path / "work"):
-        assert loaded_modules(argv) == [runs[argv[0]], False], argv
+        key = argv[3] if argv[0] == "decompose" else argv[0]
+        assert loaded_modules(argv) == [runs[key], False], argv
 
 
 def test_numpy_is_imported_only_by_the_table_adapter():

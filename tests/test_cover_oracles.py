@@ -14,6 +14,7 @@ order, the same canonical game, or the same error naming the same
 coalitions.
 """
 
+import dataclasses
 import heapq
 from collections import Counter
 from itertools import combinations
@@ -426,6 +427,23 @@ def test_full_cover_matches_oracle(n):
     assert code.n == n
     assert_coalition_tuple(code.centers)
     assert code.centers == oracle_full_cover(n).centers
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_full_cover_lists_its_centers_only_when_read(n):
+    oracle = oracle_full_cover(n)
+    code = full_cover(n)
+    assert len(code) == len(oracle)
+    for name, value in [("n", n), ("_masks", ()), ("centers", ())]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(code, name, value)
+    assert "_masks" not in vars(code)  # counted, not listed
+    # Each reader lists the centers of a fresh cover by itself.
+    assert full_cover(n)._masks == oracle._masks
+    assert full_cover(n).centers == oracle.centers
+    assert full_cover(n) == oracle and oracle == full_cover(n)
+    assert hash(full_cover(n)) == hash(oracle)
+    assert full_cover(n) != Code(n, oracle.centers[::-1]) or n == 1
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,16 @@ pairing scan and of the two group-to-weighted-game constructions, kept
 verbatim apart from their names: a scan over every center for each
 coalition, one classification per cluster, a pairwise scan over
 ``Coalition`` objects, and one hand-written weight formula per shape and
-per pair distance.  ``simplegames.decompose`` must reproduce them exactly.
+per pair distance.  The covering decomposition is also checked against the
+path it replaced, kept verbatim apart from the names and the library's
+private helpers, spelled out here: a center -> index dict probed over each
+coalition's radius-1 ball, one ``Cluster`` per used center, and one part
+per cluster by its shape tag.  ``simplegames.decompose`` must reproduce
+them exactly, and a full cover's syndrome must name the center that the
+ball lookup finds.
 """
 
+import random
 from typing import Optional
 
 import pytest
@@ -20,6 +27,7 @@ from simplegames import (
     ClusterCase,
     Coalition,
     Code,
+    Decomposition,
     PairingPlan,
     SimpleGame,
     WeightedGame,
@@ -160,6 +168,108 @@ def oracle_pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
     return WeightedGame(3, weights)
 
 
+def _oracle_side(center: int, member: int) -> Optional[ClusterCase]:
+    """The shape a member gives a cluster around the center; None beyond distance 1."""
+    flip = center ^ member
+    if not flip:
+        return ClusterCase.EXACTLY_CENTER
+    if flip & (flip - 1):
+        return None
+    return ClusterCase.BELOW_CENTER if center & flip else ClusterCase.ABOVE_CENTER
+
+
+def _oracle_tiered(n: int, quota: int, outside: int, *tiers: tuple[int, int]) -> WeightedGame:
+    """The game ``[quota; w_1, ..., w_n]`` built from (mask, weight) tiers.
+
+    Each player weighs the weight of the first tier whose mask holds it;
+    players in no tier weigh ``outside``.
+    """
+    weights = [outside] * n
+    for mask, w in reversed(tiers):
+        rest = mask & (1 << n) - 1
+        while rest:
+            low = rest & -rest
+            weights[low.bit_length() - 1] = w
+            rest ^= low
+    return WeightedGame(quota, tuple(weights))
+
+
+def indexed_cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
+    """Assign every maximal losing coalition to a covering center.
+
+    Each coalition goes to a nearest center (distance 0 or 1), ties broken
+    by smallest center mask.  Clusters come back in the code's center
+    order with empty ones dropped.  Centers are found by looking up the
+    radius-1 ball of each coalition, so the cost is O(|family| * n).
+
+    Raises NotACover if some maximal losing coalition is farther than
+    distance 1 from every center.
+    """
+    masks = code._masks
+    index = {c: i for i, c in enumerate(masks)}
+    # A center may hold players beyond game.n when the code is longer.
+    flips = [1 << i for i in range(max(game.n, code.n))]
+    groups: dict[int, tuple[ClusterCase, list[Coalition]]] = {}
+    for x in game.maximal_losing:
+        c = x.mask
+        if c not in index:  # distance 0 wins over distance 1
+            near = [c ^ f for f in flips if c ^ f in index]
+            if not near:
+                raise NotACover(x)
+            c = min(near)
+        groups.setdefault(index[c], (_oracle_side(c, x.mask), []))[1].append(x)
+    return [
+        Cluster(Coalition(masks[i]), tuple(members), case)
+        for i, (case, members) in sorted(groups.items())
+    ]
+
+
+def tagged_cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
+    """Express the game of one cluster as a weighted game.
+
+    Let ``spread`` be the players in which some member differs from the
+    center.  Below the center a coalition beats every member iff it leaves
+    the center or keeps all of spread, so quota |spread| with weight
+    |spread| outside the center and 1 on each spread player works.  Above
+    the center a coalition beats every member iff it has a player outside
+    center+spread or two of the spread players, giving quota 2 with
+    weights 2 outside, 1 on spread players and 0 on the center.  A
+    center-only cluster is the single-coalition game.
+    """
+    c = cluster.center.mask
+    if cluster.case_tag is ClusterCase.EXACTLY_CENTER:
+        return _oracle_tiered(n, 1, 1, (c, 0))
+    spread = 0
+    for m in cluster.members:
+        spread |= m.mask ^ c
+    if cluster.case_tag is ClusterCase.BELOW_CENTER:
+        q = spread.bit_count()
+        return _oracle_tiered(n, q, q, (spread, 1), (c, 0))
+    return _oracle_tiered(n, 2, 2, (c, 0), (spread, 1))
+
+
+def clustered_decompose_covering(
+    game: SimpleGame, code: Optional[Code] = None
+) -> Decomposition:
+    """Decompose via a radius-1 cover of the maximal losing coalitions.
+
+    With no code given, a greedy cover of the family itself is computed
+    first.  The number of parts never exceeds the number of centers.
+    """
+    if code is None:
+        code = greedy_cover(game.n, game.maximal_losing)
+    clusters = indexed_cluster_partition(game, code)
+    parts = tuple(tagged_cluster_to_weighted(cl, game.n) for cl in clusters)
+    return Decomposition(game.n, parts)
+
+
+def ball_nearest(centers: set[int], width: int, x: int) -> Optional[int]:
+    """The center at distance 0, else the smallest at distance 1, else None."""
+    if x in centers:
+        return x
+    return min((x ^ 1 << i for i in range(width) if x ^ 1 << i in centers), default=None)
+
+
 # ----------------------------------------------------------------- strategies
 
 
@@ -212,6 +322,49 @@ def clusters_near_a_center(draw) -> tuple[Coalition, list[Coalition]]:
     return Coalition(center), [Coalition(m) for m in members]
 
 
+@st.composite
+def games_with_covers(draw) -> tuple[SimpleGame, Code]:
+    """A game with a greedy cover, a full cover or a listed copy of one.
+
+    Full covers are drawn at the game's length, longer (up to 24 players)
+    and one player shorter, where a coalition holding the last player is
+    covered only from a codeword one player below it.
+    """
+    game = draw(antichain_games(min_n=1, max_n=10))
+    n = game.n
+    kind = draw(st.sampled_from(["greedy", "full", "listed", "longer", "shorter"]))
+    if kind == "greedy":
+        return game, greedy_cover(n, game.maximal_losing)
+    if kind == "listed":
+        return game, Code(n, full_cover(n).centers)
+    if kind == "longer":
+        return game, full_cover(min(24, n + draw(st.integers(1, 14))))
+    if kind == "shorter":
+        return game, full_cover(max(1, n - 1))
+    return game, full_cover(n)
+
+
+@st.composite
+def unchecked_games_with_codes(draw) -> tuple[SimpleGame, Code]:
+    """A SimpleGame built without validate_game, and a code around it.
+
+    The family may repeat a coalition, nest one in another and come in any
+    order, so a cluster may mix shapes.  Codes are the full cover, the
+    greedy cover of the family, or centers from the family's radius-1 balls.
+    """
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    game = SimpleGame(n, tuple(Coalition(m) for m in masks))
+    kind = draw(st.sampled_from(["full", "greedy", "balls"]))
+    if kind == "full":
+        return game, full_cover(n)
+    if kind == "greedy":
+        return game, greedy_cover(n, game.maximal_losing)
+    near = sorted({m ^ b for m in masks for b in [0] + [1 << i for i in range(n)]})
+    centers = draw(st.lists(st.sampled_from(near), min_size=1, max_size=2 * n))
+    return game, Code(n, tuple(Coalition(c) for c in centers))
+
+
 def outcome(fn, *args):
     """The result of a call, or the type and payload of the error it raised."""
     try:
@@ -220,6 +373,8 @@ def outcome(fn, *args):
         return ("NotACover", exc.uncovered)
     except BadPairDistance as exc:
         return ("BadPairDistance", str(exc))
+    except MixedCluster as exc:
+        return ("MixedCluster", str(exc))
 
 
 # ---------------------------------------------------------------- differences
@@ -317,3 +472,68 @@ def test_secded_families_have_no_pairs_and_one_center_each(game):
     assert plan == oracle_pair_partition(game)
     assert plan.pairs == () and plan.singletons == game.maximal_losing
     assert len(greedy_cover(game.n, game.maximal_losing)) == len(game.maximal_losing)
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_with_covers())
+def test_covering_matches_the_cluster_path(game_and_code):
+    game, code = game_and_code
+    dec = outcome(decompose_covering, game, code)
+    assert dec == outcome(clustered_decompose_covering, game, code)
+    assert outcome(cluster_partition, game, code) == outcome(
+        indexed_cluster_partition, game, code
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(unchecked_games_with_codes())
+def test_unchecked_games_mix_clusters_as_the_cluster_path_does(game_and_code):
+    game, code = game_and_code
+    dec = outcome(decompose_covering, game, code)
+    assert dec == outcome(clustered_decompose_covering, game, code)
+    assert outcome(cluster_partition, game, code) == outcome(
+        indexed_cluster_partition, game, code
+    )
+
+
+@pytest.mark.parametrize(
+    "n, family, code",
+    [
+        # {1, 2, 3} is a center of the full cover and {1, 2} sits below it.
+        (3, [(1, 2, 3), (1, 2)], full_cover(3)),
+        # Around the full cover's center {}: {2} above, {} itself first.
+        (3, [(), (2,)], full_cover(3)),
+        # {1} below and {1, 2, 3} above the one center {1, 2}.
+        (3, [(1, 2, 3), (1,)], Code(3, [Coalition.of(1, 2)])),
+        # A repeated member mixes nothing.
+        (3, [(1,), (1,)], Code(3, [Coalition.of(1, 2)])),
+    ],
+    ids=["center-and-below", "center-and-above", "both-sides", "repeat"],
+)
+def test_unchecked_game_errors_name_the_cluster_as_before(n, family, code):
+    game = SimpleGame(n, tuple(Coalition.of(*c) for c in family))
+    expected = outcome(clustered_decompose_covering, game, code)
+    assert outcome(decompose_covering, game, code) == expected
+    assert isinstance(expected, Decomposition) == (len(set(family)) == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_full_cover_syndrome_names_the_ball_lookup_center_on_every_mask(n):
+    code = full_cover(n)
+    centers = set(code._masks)  # the listing, checked in test_cover_oracles
+    # Masks with up to two players beyond the code; a longer game's
+    # coalition is covered only by dropping its one extra player.
+    width = n + 2 if n <= 10 else n
+    for x in range(1 << width):
+        assert code._nearest(x) == ball_nearest(centers, width, x), x
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_full_cover_syndrome_names_the_ball_lookup_center_on_samples(n):
+    code = full_cover(n)
+    centers = set(code._masks)  # the listing, checked in test_cover_oracles
+    rng = random.Random(n)
+    for x in [rng.randrange(1 << n) for _ in range(4000)] + [(1 << n) - 1, 0]:
+        assert code._nearest(x) == ball_nearest(centers, n, x), x
+        wide = x | 1 << n + rng.randrange(2)
+        assert code._nearest(wide) == ball_nearest(centers, n + 2, wide), wide

@@ -13,11 +13,11 @@ coalitions of 12 out of 24 players each verify within a few seconds.
 
 The full-cube cover of 20 players: writing its 65 536 centers stays within
 a fixed memory margin of a command that loads the package and does nothing
-else.  Writing the full-cube cover of 22 players, decomposing a sparse n=24
-game around the full-cube cover, decomposing 20 000 and 40 random
-coalitions of 12 out of 24 players around the greedy cover, verifying five
-n=24 parts with random heavy weights, and deriving the maximal losing
-coalitions of the 20-player majority game each stay under a fixed peak.
+else.  Writing the full-cube cover of 22 players, decomposing 40 and 20 000
+random coalitions of 12 out of 24 players around the full-cube cover and
+around the greedy cover, verifying five n=24 parts with random heavy
+weights, and deriving the maximal losing coalitions of the 20-player
+majority game each stay under a fixed peak.
 """
 
 import hashlib
@@ -173,9 +173,15 @@ def test_verify_of_random_heavy_parts_stays_under_a_fixed_peak(tmp_path):
 COVER_FULL_22_MAX_MIB = 48
 
 # Peak RSS of `decompose --method covering --full-code` on 40 coalitions of 24
-# players (1 048 576 centers), in MiB: about 219 MiB when every center was a
-# Coalition, about 171 MiB with the centers as int masks.
-FULL_CODE_24_MAX_MIB = 195
+# players (a cover of 1 048 576 centers), in MiB: about 219 MiB when every
+# center was a Coalition, about 170 MiB with the centers as int masks, about
+# 34 MiB since each coalition's center comes from its syndrome and the cover
+# is never listed.
+FULL_CODE_24_MAX_MIB = 64
+
+# The same on 20 000 coalitions: about 180 MiB when the cover was listed,
+# about 52 MiB by syndrome.
+FULL_CODE_24_20000_MAX_MIB = 80
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -199,6 +205,15 @@ def test_full_code_decomposition_at_24_stays_under_a_fixed_peak(tmp_path):
     peak = cli_max_rss_mib(*argv, "--output", "dec.json", cwd=tmp_path)
     assert json.loads((tmp_path / "dec.json").read_text())["part_count"] == 40
     assert peak < FULL_CODE_24_MAX_MIB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_full_code_decomposition_of_20000_at_24_stays_under_a_fixed_peak(tmp_path):
+    game = write_random_layer_game(tmp_path / "game.json", 20_000, seed=24)
+    argv = ["decompose", str(game), "--method", "covering", "--full-code"]
+    peak = cli_max_rss_mib(*argv, "--output", "dec.json", cwd=tmp_path)
+    assert json.loads((tmp_path / "dec.json").read_text())["n"] == 24
+    assert peak < FULL_CODE_24_20000_MAX_MIB
 
 
 # Peak RSS of `decompose --method covering` through the greedy cover, by the
