@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Coalition, _check_fits, _check_players
+from .core import MAX_PLAYERS, Coalition, _check_fits, _check_players
 from .errors import MOutOfRange
 
 HAMMING_MIN_M = 2
@@ -47,13 +47,15 @@ class Code:
 
     The centers are held as int masks, first occurrence kept; ``centers``
     builds their Coalition tuple on its first read.  Two codes are equal when
-    their lengths and their centers, in order, are.  A code from
-    :func:`full_cover` holds its syndrome table instead, names each mask's
-    nearest center from it, and lists its masks only when they are read.
+    their lengths and their centers, in order, are.  Every code names each
+    mask's nearest center (see ``_nearest``).  A code from :func:`full_cover`
+    holds its syndrome table instead of its masks and lists them only when
+    they are read.
     """
 
     n: int
     _syndromes = None  # a full cover's table; not a field
+    _flips = tuple(1 << i for i in range(MAX_PLAYERS))  # one-player flips; not a field
 
     def _full_cover_masks(self) -> tuple[int, ...]:
         """A full cover's centers in ascending mask order (see full_cover)."""
@@ -84,17 +86,32 @@ class Code:
         return self
 
     def _nearest(self, x: int) -> int | None:
-        """A full cover's one center within distance 1 of mask x, else None.
+        """Mask x's nearest center: x if a center, else the smallest at distance 1, else None.
 
-        The center flips the player that the syndrome of x names, or no one
-        when the syndrome is 0.  A mask with players beyond the code's
-        length is covered only when it is a center plus one such player.
+        A full cover flips the player that the syndrome of x names, or no one
+        when the syndrome is 0; any other code looks up x's radius-1 ball in
+        its center index.  A mask with players beyond the code's length is
+        covered only when it is a center plus exactly one such player.
         """
-        s = self._syndromes[x & len(self._syndromes) - 1]
         wide = x >> self.n << self.n
-        if not wide:
-            return x ^ (1 << s >> 1)  # player s is bit s - 1; s = 0 flips no one
-        return x ^ wide if s == 0 and wide.bit_count() == 1 else None
+        if wide:
+            c = x ^ wide
+            return c if wide.bit_count() == 1 and self._nearest(c) == c else None
+        if self._syndromes is not None:  # syndrome s flips bit s - 1, or none when 0
+            return x ^ (1 << self._syndromes[x & len(self._syndromes) - 1] >> 1)
+        index = self._index
+        if x in index:
+            return x
+        return min([x ^ f for f in self._flips[: self.n] if x ^ f in index], default=None)
+
+    def _in_order(self, centers: Iterable[int]) -> list[int]:
+        """Some of the code's centers in code order: ascending for a full cover."""
+        return sorted(centers, key=None if self._syndromes is not None else self._index.get)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        """Each center's place in a listed code."""
+        return {c: i for i, c in enumerate(self._masks)}
 
     @cached_property
     def centers(self) -> tuple[Coalition, ...]:

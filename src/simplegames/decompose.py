@@ -115,42 +115,25 @@ def taylor_zwicker(game: SimpleGame) -> Decomposition:
     players outside t, so a coalition wins the part iff it is not
     contained in t.  Parts follow the canonical coalition order.
     """
-    parts = tuple(_tiered(game.n, 1, 1, (t.mask, 0)) for t in game.maximal_losing)
+    parts = tuple(_cluster_part(game.n, t.mask, 0) for t in game.maximal_losing)
     return Decomposition(game.n, parts)
 
 
 def _groups(game: SimpleGame, code: Code) -> list[tuple[int, list[Coalition], int]]:
     """Each used center, in code order, with its members and their spread.
 
-    Every maximal losing coalition goes to a nearest center: itself when it
-    is a center, else the smallest center at distance 1.  A full cover names
-    it by syndrome (its code order is ascending); any other code is searched
-    over the coalition's radius-1 ball.  The spread is the OR of member ^
-    center.  Raises NotACover for the first coalition left uncovered.
+    Each coalition joins the center ``Code._nearest`` names; the spread is
+    the OR of member ^ center.  Raises NotACover for the first one uncovered.
     """
-    family = game.maximal_losing
-    masks = [x.mask for x in family]
-    if code._syndromes is not None:
-        rank = None
-        near = list(map(code._nearest, masks))
-    else:
-        rank = {c: i for i, c in enumerate(code._masks)}
-        # A center may hold players beyond game.n when the code is longer.
-        flips = [1 << i for i in range(max(game.n, code.n))]
-        # Distance 0 wins over distance 1, and the smallest mask breaks a tie.
-        near = [
-            x if x in rank else min([x ^ f for f in flips if x ^ f in rank], default=None)
-            for x in masks
-        ]
     members: dict[int, list[Coalition]] = {}
     spread: dict[int, int] = {}
-    for x, m, c in zip(family, masks, near):
+    for x in game.maximal_losing:
+        c = code._nearest(x.mask)
         if c is None:
             raise NotACover(x)
         members.setdefault(c, []).append(x)
-        spread[c] = spread.get(c, 0) | m ^ c
-    used = sorted(members) if rank is None else sorted(members, key=rank.__getitem__)
-    return [(c, members[c], spread[c]) for c in used]
+        spread[c] = spread.get(c, 0) | x.mask ^ c
+    return [(c, members[c], spread[c]) for c in code._in_order(members)]
 
 
 def _cluster(center: int, members: list[Coalition]) -> Cluster:
@@ -171,9 +154,8 @@ def _cluster_part(n: int, center: int, spread: int) -> WeightedGame:
 def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
     """Assign every maximal losing coalition to a covering center.
 
-    Each coalition goes to a nearest center (distance 0 or 1), ties broken
-    by smallest center mask.  Clusters come back in the code's center
-    order with empty ones dropped, at a cost of O(|family| * n).
+    Each coalition goes to the center ``Code._nearest`` names.  Clusters
+    come back in the code's center order with empty ones dropped.
 
     Raises NotACover if some maximal losing coalition is farther than
     distance 1 from every center.
@@ -276,6 +258,6 @@ def decompose_pairing(game: SimpleGame) -> Decomposition:
     plan = pair_partition(game)
     parts = tuple(
         [pair_to_weighted(x, y, game.n) for x, y in plan.pairs]
-        + [_tiered(game.n, 1, 1, (t.mask, 0)) for t in plan.singletons]
+        + [_cluster_part(game.n, t.mask, 0) for t in plan.singletons]
     )
     return Decomposition(game.n, parts)

@@ -88,7 +88,8 @@ def built(build):
 
 
 def assert_both_constructors_agree(n, masks):
-    # Code._of_masks is the path of full_cover, greedy_cover and the loader.
+    # Code._of_masks is the path of greedy_cover and the loader; full_cover
+    # builds its Code from the syndrome table.
     from_masks = built(lambda: Code._of_masks(n, masks))
     assert from_masks == built(lambda: Code(n, [Coalition(m) for m in masks]))
 

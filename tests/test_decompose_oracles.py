@@ -10,8 +10,8 @@ path it replaced, kept verbatim apart from the names and the library's
 private helpers, spelled out here: a center -> index dict probed over each
 coalition's radius-1 ball, one ``Cluster`` per used center, and one part
 per cluster by its shape tag.  ``simplegames.decompose`` must reproduce
-them exactly, and a full cover's syndrome must name the center that the
-ball lookup finds.
+them exactly, and every kind of code's nearest-center rule must name the
+center that the ball lookup finds.
 """
 
 import random
@@ -517,23 +517,74 @@ def test_unchecked_game_errors_name_the_cluster_as_before(n, family, code):
     assert isinstance(expected, Decomposition) == (len(set(family)) == 1)
 
 
-@pytest.mark.parametrize("n", range(1, 17))
-def test_full_cover_syndrome_names_the_ball_lookup_center_on_every_mask(n):
-    code = full_cover(n)
+def code_of_kind(kind: str, n: int) -> Code:
+    """A seeded code of one kind around a game of n players.
+
+    ``full`` is the full cover and ``listed`` a listed copy of it;
+    ``greedy`` covers a random family in selection order; ``balls`` draws
+    half the radius-1 balls of a random family plus random masks, shuffled,
+    as games_with_codes does, so it has ties at distance 1 and misses most
+    masks; ``longer`` and ``shorter`` are ball codes of length n + 1 and
+    n - 1.
+    """
+    if kind == "full":
+        return full_cover(n)
+    if kind == "listed":
+        return Code._of_masks(n, full_cover(n)._masks)
+    rng = random.Random(f"{kind}-{n}")
+    length = {"longer": n + 1, "shorter": max(1, n - 1)}.get(kind, n)
+    family = [rng.randrange(1 << length) for _ in range(min(2 * n, 1 << n))]
+    if kind == "greedy":
+        return greedy_cover(n, [Coalition(t) for t in family])
+    near = sorted({t ^ f for t in family for f in [0] + [1 << i for i in range(length)]})
+    centers = rng.sample(near, len(near) // 2 or 1) + [rng.randrange(1 << length)]
+    rng.shuffle(centers)
+    return Code._of_masks(length, centers)
+
+
+def assert_nearest_is_the_ball_lookup(code: Code, width: int, masks) -> None:
+    """``_nearest`` names the ball lookup's center on each mask, the ball
+    spanning ``width`` players, and ``_in_order`` lists the named centers in
+    code order."""
     centers = set(code._masks)  # the listing, checked in test_cover_oracles
-    # Masks with up to two players beyond the code; a longer game's
-    # coalition is covered only by dropping its one extra player.
+    width = max(width, code.n)  # the ball reaches the longer of game and code
+    used = set()
+    for x in masks:
+        c = code._nearest(x)
+        assert c == ball_nearest(centers, width, x), x
+        used.add(c)
+    used.discard(None)
+    assert code._in_order(used) == [c for c in code._masks if c in used]
+
+
+KINDS = ["greedy", "listed", "balls", "longer", "shorter"]
+
+
+def every_kind(ns):
+    """The full cover at each n under the id n, then every other kind
+    (no longer code at n = 24: 24 players is the cap)."""
+    return [pytest.param(n, "full", id=str(n)) for n in ns] + [
+        pytest.param(n, kind, id=f"{kind}-{n}")
+        for kind in KINDS
+        for n in ns
+        if (kind, n) != ("longer", 24)
+    ]
+
+
+@pytest.mark.parametrize("n, kind", every_kind(range(1, 17)))
+def test_full_cover_syndrome_names_the_ball_lookup_center_on_every_mask(n, kind):
+    # Masks with up to two players beyond a game of n players; a coalition
+    # wider than the code is covered only by dropping its one extra player.
     width = n + 2 if n <= 10 else n
-    for x in range(1 << width):
-        assert code._nearest(x) == ball_nearest(centers, width, x), x
+    assert_nearest_is_the_ball_lookup(code_of_kind(kind, n), width, range(1 << width))
 
 
-@pytest.mark.parametrize("n", range(17, 25))
-def test_full_cover_syndrome_names_the_ball_lookup_center_on_samples(n):
-    code = full_cover(n)
-    centers = set(code._masks)  # the listing, checked in test_cover_oracles
+@pytest.mark.parametrize("n, kind", every_kind(range(17, 25)))
+def test_full_cover_syndrome_names_the_ball_lookup_center_on_samples(n, kind):
+    code = code_of_kind(kind, n)
     rng = random.Random(n)
-    for x in [rng.randrange(1 << n) for _ in range(4000)] + [(1 << n) - 1, 0]:
-        assert code._nearest(x) == ball_nearest(centers, n, x), x
-        wide = x | 1 << n + rng.randrange(2)
-        assert code._nearest(wide) == ball_nearest(centers, n + 2, wide), wide
+    # Random masks, and neighbours of centers, where ties at distance 1 lie.
+    near = [c ^ 1 << rng.randrange(code.n) for c in rng.choices(code._masks, k=2000)]
+    masks = [rng.randrange(1 << n) for _ in range(2000)] + near + [(1 << n) - 1, 0]
+    wide = [x | rng.choice([1, 2, 3]) << code.n for x in masks]  # one or two wide players
+    assert_nearest_is_the_ball_lookup(code, code.n + 2, masks + wide)
