@@ -1,23 +1,32 @@
 """Decompositions of a simple game into intersections of weighted games.
 
-All three constructions exploit the same observation: if the maximal
-losing coalitions are split into groups, the game equals the intersection
-of the games defined by the individual groups.  A coalition loses exactly
-when it is contained in some maximal losing coalition, i.e. when it loses
-in at least one group.  The art is choosing groups whose games are
-weighted:
+If the maximal losing coalitions are split into groups, the game is the
+intersection of the games the groups define: a coalition loses exactly
+when it lies inside some maximal losing coalition, i.e. when it loses in
+at least one group.  Each method picks groups whose games are weighted.
+``taylor_zwicker`` makes one group per coalition.  ``decompose_covering``
+groups the coalitions within distance 1 of each center of a radius-1
+covering code; in an antichain a group is the center alone, or lies all
+below it, or all above it.  ``decompose_pairing`` greedily matches pairs
+at distance 2 or 3 and leaves the rest alone, so it never needs more
+parts than ``taylor_zwicker``.
 
-* ``taylor_zwicker``: one group per maximal losing coalition.  Each
-  single-coalition game is trivially weighted.
-* ``decompose_covering``: group the maximal losing coalitions around the
-  centers of a radius-1 covering code.  Because the family is an
-  antichain, every group consists of the center alone, of coalitions one
-  player short of the center, or of coalitions one player beyond it, and
-  each of these three shapes is weighted.
-* ``decompose_pairing``: greedily match coalitions at Hamming distance at
-  most 3; each matched pair forms a weighted two-coalition game, leftovers
-  fall back to single-coalition games.  This never needs more parts than
-  ``taylor_zwicker`` and needs strictly fewer as soon as one pair matches.
+Every part comes from one weight rule, ``_part``: quota q, weight 1 on
+``ones``, q - 1 on ``heavy``, 0 on ``zeros`` and q on everyone else.  In
+each row below a coalition reaches q exactly when it lies inside no
+member of the group.  ``spread`` is the players in which some cluster
+member differs from the center; x is the pair member with more players
+outside the other.
+
+=======================  ========  ======  =====  ===============
+part                     q         ones    heavy  zeros
+=======================  ========  ======  =====  ===============
+single coalition t       1         none    none   t
+cluster, center alone    1         none    none   center
+cluster below center     |spread|  spread  none   center - spread
+cluster above center     2         spread  none   center
+pair x, y at distance d  d         x - y   y - x  x & y
+=======================  ========  ======  =====  ===============
 """
 
 from __future__ import annotations
@@ -92,30 +101,28 @@ class PairingPlan:
     singletons: tuple[Coalition, ...]
 
 
-def _tiered(n: int, quota: int, outside: int, *tiers: tuple[int, int]) -> WeightedGame:
-    """The game ``[quota; w_1, ..., w_n]`` built from (mask, weight) tiers.
+def _part(n: int, q: int, ones: int, zeros: int, heavy: int = 0) -> WeightedGame:
+    """The game with quota q: weight 1 on ones, q - 1 on heavy, 0 on zeros.
 
-    Each player weighs the weight of the first tier whose mask holds it;
-    players in no tier weigh ``outside``.
+    Everyone else weighs q.  The masks are disjoint and clipped to n players.
     """
-    weights = [outside] * n
-    for mask, w in reversed(tiers):
+    weights = [q] * n
+    for mask, w in (ones, 1), (heavy, q - 1), (zeros, 0):
         rest = mask & (1 << n) - 1
         while rest:
             low = rest & -rest
             weights[low.bit_length() - 1] = w
             rest ^= low
-    return WeightedGame(quota, tuple(weights))
+    return WeightedGame(q, tuple(weights))
 
 
 def taylor_zwicker(game: SimpleGame) -> Decomposition:
-    """One weighted game per maximal losing coalition.
+    """One weighted game per maximal losing coalition, in canonical order.
 
-    The part for coalition t has quota 1 and weight 1 exactly on the
-    players outside t, so a coalition wins the part iff it is not
-    contained in t.  Parts follow the canonical coalition order.
+    Each is the single-coalition row of the module's table: a coalition
+    wins the part for t iff it holds a player outside t.
     """
-    parts = tuple(_cluster_part(game.n, t.mask, 0) for t in game.maximal_losing)
+    parts = tuple(_part(game.n, 1, 0, t.mask) for t in game.maximal_losing)
     return Decomposition(game.n, parts)
 
 
@@ -143,12 +150,9 @@ def _cluster(center: int, members: list[Coalition]) -> Cluster:
 
 def _cluster_part(n: int, center: int, spread: int) -> WeightedGame:
     """The weighted game of a cluster, from its center and spread alone."""
-    if not spread:
-        return _tiered(n, 1, 1, (center, 0))
-    if spread & center:
-        q = spread.bit_count()
-        return _tiered(n, q, q, (spread, 1), (center, 0))
-    return _tiered(n, 2, 2, (center, 0), (spread, 1))
+    # q is |spread| below the center, 1 for the center alone, 2 above it.
+    q = (spread & center).bit_count() or 1 + bool(spread)
+    return _part(n, q, spread, center & ~spread)
 
 
 def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
@@ -166,14 +170,10 @@ def cluster_partition(game: SimpleGame, code: Code) -> list[Cluster]:
 def cluster_to_weighted(cluster: Cluster, n: int) -> WeightedGame:
     """Express the game of one cluster as a weighted game.
 
-    Let ``spread`` be the players in which some member differs from the
-    center.  Below the center a coalition beats every member iff it leaves
-    the center or keeps all of spread, so quota |spread| with weight
-    |spread| outside the center and 1 on each spread player works.  Above
-    the center a coalition beats every member iff it has a player outside
-    center+spread or two of the spread players, giving quota 2 with
-    weights 2 outside, 1 on spread players and 0 on the center.  A
-    center-only cluster is the single-coalition game.
+    The weights are the cluster rows of the module's table.  Below the
+    center a coalition beats every member iff it leaves the center or
+    keeps all of spread; above it, iff it has a player outside
+    center+spread or two of the spread players.
     """
     c = cluster.center.mask
     spread = 0
@@ -232,10 +232,9 @@ def pair_partition(game: SimpleGame) -> PairingPlan:
 def pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
     """Express the game losing exactly inside x or y as a weighted game.
 
-    Requires x and y incomparable at distance d = 2 or 3.  The larger side
-    of the symmetric difference weighs 1 per player, the other side d - 1,
-    the common players 0 and everyone else d, with quota d.  A coalition
-    then reaches the quota exactly when it escapes both x and y.
+    Requires x and y incomparable at distance d = 2 or 3.  The weights are
+    the pair row of the module's table, with x the side holding more of
+    the symmetric difference.
     """
     only_x = x.mask & ~y.mask
     only_y = y.mask & ~x.mask
@@ -246,7 +245,7 @@ def pair_to_weighted(x: Coalition, y: Coalition, n: int) -> WeightedGame:
         raise BadPairDistance(f"{x} and {y} are at distance {d}, need 2 or 3")
     if only_x.bit_count() < only_y.bit_count():
         only_x, only_y = only_y, only_x
-    return _tiered(n, d, d, (only_x, 1), (only_y, d - 1), (x.mask & y.mask, 0))
+    return _part(n, d, only_x, x.mask & y.mask, only_y)
 
 
 def decompose_pairing(game: SimpleGame) -> Decomposition:
@@ -258,6 +257,6 @@ def decompose_pairing(game: SimpleGame) -> Decomposition:
     plan = pair_partition(game)
     parts = tuple(
         [pair_to_weighted(x, y, game.n) for x, y in plan.pairs]
-        + [_cluster_part(game.n, t.mask, 0) for t in plan.singletons]
+        + [_part(game.n, 1, 0, t.mask) for t in plan.singletons]
     )
     return Decomposition(game.n, parts)

@@ -15,6 +15,7 @@ from simplegames import (
 )
 from simplegames.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     load_decomposition,
@@ -202,6 +203,37 @@ def test_decompose_rejects_non_covering_cover(four_player_file, tmp_path):
         ]
     )
     assert rc == EXIT_INPUT
+
+
+def test_decompose_rejects_cover_of_another_length(four_player_file, tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    assert main(["cover", "--full", "5", "--output", str(cover)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "dec.json"
+    argv = ["decompose", str(four_player_file), "--method", "covering"]
+    assert main(argv + ["--cover", str(cover), "--output", str(out)]) == EXIT_INPUT
+    line = assert_one_error_line(capsys)
+    assert line == "error: cover is for 5 players but the game has 4"
+    assert not out.exists()
+
+
+def test_decompose_exits_two_when_its_result_fails_verification(
+    four_player_file, tmp_path, capsys, monkeypatch
+):
+    # cmd_decompose looks the method up at call time, so a broken one is
+    # caught by the re-verification before anything is written.
+    decompose = importlib.import_module("simplegames.decompose")
+    whole = decompose.taylor_zwicker
+    monkeypatch.setattr(
+        decompose, "taylor_zwicker", lambda game: Decomposition(game.n, whole(game).parts[1:])
+    )
+    out = tmp_path / "dec.json"
+    argv = ["decompose", str(four_player_file), "--method", "taylor-zwicker"]
+    assert main(argv + ["--output", str(out)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: decomposition disagrees with the game at {1, 3}\n"
+    assert not out.exists()
 
 
 def test_decompose_output_is_deterministic(four_player_file, tmp_path):

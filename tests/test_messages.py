@@ -1,9 +1,11 @@
-"""The exact text of the player-count and player-range errors.
+"""The exact text of the player-count, part and player-range errors.
 
 Each entry point that takes a player count (or code length) is given 0, 25,
-True and 1.5; each one that takes coalitions is given one holding a player
-beyond n.  The message is compared byte for byte: ``str(exc)`` for library
-calls, the ``error:`` line on stderr for files read by the command line.
+True and 1.5; the part constructors are given no players, no parts and a
+part of the wrong size; each entry point that takes coalitions is given one
+holding a player beyond n.  The message is compared byte for byte:
+``str(exc)`` for library calls, the ``error:`` line on stderr for files
+read by the command line.
 """
 
 import json
@@ -97,6 +99,33 @@ def test_file_player_count_messages(bad, n, tmp_path, capsys):
     else:
         expected = f"error: {field} must be an integer\n"
     assert run_cli(argv, capsys) == expected
+
+
+# -------------------------------------------------------- part constructors
+
+PART_SITES = {
+    "WeightedGame-no-players": (
+        lambda: WeightedGame(1, ()),
+        "a weighted game needs at least one player",
+    ),
+    "Decomposition-no-parts": (
+        lambda: Decomposition(2, ()),
+        "a decomposition needs at least one part",
+    ),
+    "Decomposition-part-size": (
+        lambda: Decomposition(3, (WeightedGame(1, (1, 1)),)),
+        "part [1;1,1] has 2 players, expected 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", PART_SITES)
+def test_part_constructor_messages(site):
+    call, expected = PART_SITES[site]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == expected
 
 
 # -------------------------------------------------------------- player range

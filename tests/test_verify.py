@@ -205,6 +205,15 @@ def test_find_certificate_on_four_player_example():
     )
 
 
+def test_check_certificate_on_a_decomposition():
+    game = four_player_example()
+    cert = find_trade_certificate(game)
+    dec = decompose_covering(game)
+    assert check_trade_certificate(dec, cert)
+    swapped = TradeCertificate(losing_pair=cert.winning_pair, winning_pair=cert.losing_pair)
+    assert not check_trade_certificate(dec, swapped)
+
+
 def test_find_certificate_absent_for_weighted_game():
     game = validate_game(4, [Coalition.of(1, 4), Coalition.of(2, 4)])
     assert verify_decomposition(game, Decomposition(4, (WEIGHTED_2_1120,))).equivalent
