@@ -14,7 +14,9 @@ failure while decomposing, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from .core import (
@@ -32,6 +34,8 @@ from .errors import GameError
 # never compiles codes or decompose, bounds and cover never decompose or verify.
 TYPE_CHECKING = False  # type checkers take it as True; typing stays unloaded
 if TYPE_CHECKING:
+    from typing import NoReturn
+
     from .codes import Code
 
 EXIT_OK = 0
@@ -329,5 +333,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def run() -> NoReturn:
+    """Process entry point: ``main()`` on ``sys.argv``, then exit at once.
+
+    The pipeline's data holds no reference cycles, so the cyclic collector
+    only walks live objects and is switched off.  Once stdout and stderr are
+    flushed, ``os._exit`` skips interpreter teardown and atexit handlers;
+    output files are closed by then.  If a flush fails, ``sys.exit`` lets the
+    interpreter report it as usual (exit 120).  Usage errors and uncaught
+    exceptions leave ``main()`` by the normal exit path.
+    """
+    gc.disable()
+    status = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,16 @@
+import gc
 import importlib
 import json
+import os
+import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import simplegames
 from helpers import four_player_example, seven_player_example
 from simplegames import (
     Coalition,
@@ -580,3 +587,154 @@ def test_usage_errors_exit_one(capsys):
         main(["decompose"])  # missing required arguments
     assert exc.value.code == EXIT_INPUT
 
+
+# ------------------------------------------------------- process entry point
+
+
+def run_child(*argv: str, cwd: Path, stdout=subprocess.PIPE, **env: str):
+    """Run ``python -m simplegames.cli *argv`` with stdout block-buffered."""
+    src = str(Path(simplegames.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "simplegames.cli", *argv],
+        cwd=cwd,
+        env={**environ, "PYTHONPATH": path, **env},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_process_decompose_matches_main(seven_player_file, tmp_path, capsys):
+    argv = ["decompose", str(seven_player_file), "--method", "taylor-zwicker"]
+    child = run_child(*argv, "--output", "child.json", cwd=tmp_path)
+    assert main(argv + ["--output", str(tmp_path / "local.json")]) == EXIT_OK
+    assert (child.returncode, child.stdout, child.stderr) == (
+        EXIT_OK,
+        capsys.readouterr().out,
+        "",
+    )
+    local = (tmp_path / "local.json").read_bytes()
+    assert (tmp_path / "child.json").read_bytes() == local
+
+
+def test_process_verify_of_a_dropped_part_exits_three(seven_player_file, tmp_path):
+    dec = tmp_path / "dec.json"
+    argv = ["decompose", str(seven_player_file), "--method", "taylor-zwicker"]
+    assert main(argv + ["--output", str(dec)]) == EXIT_OK
+    data = json.loads(dec.read_text())
+    data["parts"] = data["parts"][1:]
+    data["part_count"] = len(data["parts"])
+    dec.write_text(json.dumps(data))
+    child = run_child("verify", str(seven_player_file), str(dec), cwd=tmp_path)
+    assert child.returncode == EXIT_MISMATCH and child.stderr == ""
+    assert child.stdout.startswith("MISMATCH at ")
+
+
+def test_process_nested_game_is_one_error_line(tmp_path):
+    game = tmp_path / "nested.json"
+    game.write_text(json.dumps({"n": 3, "maximal_losing": [[1], [1, 2]]}))
+    argv = ["decompose", str(game), "--method", "pairing", "--output", "dec.json"]
+    child = run_child(*argv, cwd=tmp_path)
+    assert child.returncode == EXIT_INPUT and child.stdout == ""
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "dec.json").exists()
+
+
+def test_process_usage_error_and_help(tmp_path, capsys):
+    child = run_child("bounds", cwd=tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds"])
+    assert exc.value.code == EXIT_INPUT
+    assert (child.returncode, child.stdout) == (EXIT_INPUT, "")
+    assert child.stderr == capsys.readouterr().err
+    assert child.stderr.startswith("usage: simplegames bounds ")
+    child = run_child("--help", cwd=tmp_path)
+    assert (child.returncode, child.stderr) == (EXIT_OK, "")
+    assert child.stdout.startswith("usage: simplegames ")
+
+
+full_device = pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+
+
+@full_device
+def test_process_reports_a_failed_flush_at_exit(tmp_path):
+    # Block-buffered, the row is written only at the final flush; its failure
+    # is reported by the interpreter, as by a plain sys.exit.
+    with open("/dev/full", "w") as full:
+        child = run_child("bounds", "12", cwd=tmp_path, stdout=full)
+    assert child.returncode == 120
+    lines = child.stderr.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("Exception ignored") and "<stdout>" in lines[0]
+    assert lines[1] == "OSError: [Errno 28] No space left on device"
+
+
+@full_device
+def test_process_unbuffered_write_failure_is_an_input_error(tmp_path):
+    with open("/dev/full", "w") as full:
+        child = run_child("bounds", "12", cwd=tmp_path, stdout=full, PYTHONUNBUFFERED="1")
+    assert child.returncode == EXIT_INPUT
+    assert child.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def cyclic_garbage(argv: list[str]) -> int:
+    """Objects the collector finds unreachable after main(argv) ran without it."""
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def clustered_layer(n: int, size: int, seed: int) -> list[int]:
+    """``size`` coalitions of n/2 players, each one player short of a seeded
+    random center of n/2 + 1, so the greedy cover has about size/8 centers."""
+    rng = random.Random(seed)
+    family: dict[int, None] = {}
+    while len(family) < size:
+        center = sum(1 << i for i in rng.sample(range(n), n // 2 + 1))
+        for i in range(n):
+            if center >> i & 1:
+                family.setdefault(center & ~(1 << i))
+    return list(family)[:size]
+
+
+def test_commands_leave_no_cyclic_garbage_that_grows_with_the_family(tmp_path, capsys):
+    # The process entry point switches the collector off, which is safe only
+    # while no command leaves more cycles behind on a larger input.  The
+    # covering splits have 6, 23 and 92 parts, so verify builds every part's
+    # losing set on its own (up to 8 * n parts).
+    found = {}
+    for size in (50, 200, 800):
+        work = tmp_path / str(size)
+        work.mkdir()
+        game = work / "game.json"
+        family = [Coalition(m).players for m in clustered_layer(16, size, seed=16)]
+        game.write_text(json.dumps({"n": 16, "maximal_losing": family}))
+        decompose = ["decompose", str(game), "--method"]
+        commands = {
+            "cover": ["cover", str(game), "--output", str(work / "cover.json")],
+            "taylor-zwicker": decompose + ["taylor-zwicker"],
+            "covering": decompose + ["covering"],
+            "pairing": decompose + ["pairing"],
+            "full-code": decompose + ["covering", "--full-code"],
+            "cover-file": decompose + ["covering", "--cover", str(work / "cover.json")],
+            "bounds": ["bounds", "16"],
+        }
+        for name, argv in commands.items():
+            if argv[0] == "decompose":
+                argv = argv + ["--output", str(work / f"{name}.json")]
+            found[name, size] = cyclic_garbage(argv)
+        for name in ("taylor-zwicker", "covering"):
+            argv = ["verify", str(game), str(work / f"{name}.json")]
+            found[f"verify-{name}", size] = cyclic_garbage(argv)
+    capsys.readouterr()
+    names = {name for name, _ in found}
+    assert len(names) == 9
+    for name in names:
+        assert found[name, 50] == found[name, 200] == found[name, 800], name

@@ -13,7 +13,8 @@ coalitions of 12 out of 24 players each verify within a few seconds.
 
 The full-cube cover of 20 players: writing its 65 536 centers stays within
 a fixed memory margin of a command that loads the package and does nothing
-else.  Writing the full-cube cover of 22 players, decomposing 40 and 20 000
+else.  Writing the full-cube cover of 22 players and decomposing 40 random
+coalitions of 11 out of 22 players around that file, decomposing 40 and 20 000
 random coalitions of 12 out of 24 players around the full-cube cover and
 around the greedy cover, verifying five n=24 parts with random heavy
 weights, and deriving the maximal losing coalitions of the 20-player
@@ -184,11 +185,24 @@ FULL_CODE_24_MAX_MIB = 64
 FULL_CODE_24_20000_MAX_MIB = 80
 
 
+# Peak RSS of `decompose --method covering --cover` on 40 random coalitions of
+# 11 out of 22 players with the `cover --full 22` file, in MiB: about 94 MiB,
+# as json.load holds the 31 MB text and then the 262 144 player lists.
+COVER_FILE_22_MAX_MIB = 120
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_cover_full_22_stays_under_a_fixed_peak(tmp_path):
     peak = cli_max_rss_mib("cover", "--full", "22", "--output", "c.json", cwd=tmp_path)
     assert (tmp_path / "c.json").stat().st_size > 0
     assert peak < COVER_FULL_22_MAX_MIB
+    game = tmp_path / "game.json"
+    family = [Coalition(m).players for m in random_layer(22, 11, 40, seed=22)]
+    game.write_text(json.dumps({"n": 22, "maximal_losing": family}))
+    argv = ["decompose", str(game), "--method", "covering", "--cover", "c.json"]
+    peak = cli_max_rss_mib(*argv, "--output", "dec.json", cwd=tmp_path)
+    assert json.loads((tmp_path / "dec.json").read_text())["part_count"] == 40
+    assert peak < COVER_FILE_22_MAX_MIB
 
 
 def write_random_layer_game(path: Path, size: int, seed: int) -> Path:
