@@ -9,7 +9,7 @@ n = 2**m - 1; for arbitrary target sets a greedy set cover does the job.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +18,7 @@ from .errors import MOutOfRange
 
 HAMMING_MIN_M = 2
 HAMMING_MAX_M = 4
+_BALL = (0, *(1 << i for i in range(MAX_PLAYERS)))  # flips from a mask to its radius-1 ball
 
 # Known lower and upper bounds on the maximum dimension of an n-player
 # simple game, keyed by n.
@@ -41,31 +42,19 @@ if TYPE_CHECKING:  # bounds_report imports it, to keep it out of start-up
     from fractions import Fraction
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Code:
     """A non-empty, duplicate-free, ordered collection of center coalitions.
 
-    The centers are held as int masks, first occurrence kept; ``centers``
-    builds their Coalition tuple on its first read.  Two codes are equal when
-    their lengths and their centers, in order, are.  Every code names each
-    mask's nearest center (see ``_nearest``).  A code from :func:`full_cover`
-    holds its syndrome table instead of its masks and lists them only when
-    they are read.
+    Each code holds one table: a listed code the dict whose keys are its
+    center masks in code order, first occurrence kept, and a :func:`full_cover`
+    its syndrome table.  ``_masks`` and ``centers`` list them on the first read.
+    Two codes are equal when their lengths and their centers, in order, are.
     """
 
     n: int
+    _index = None  # a listed code's centers, as dict keys in code order; not a field
     _syndromes = None  # a full cover's table; not a field
-    _flips = tuple(1 << i for i in range(MAX_PLAYERS))  # one-player flips; not a field
-
-    def _full_cover_masks(self) -> tuple[int, ...]:
-        """A full cover's centers in ascending mask order (see full_cover)."""
-        base = [mask for mask, s in enumerate(self._syndromes) if s == 0]
-        pads = range(0, 1 << self.n, len(self._syndromes))  # subsets after b
-        return tuple(c | pad for pad in pads for c in base)
-
-    # A field that every code but a full cover sets on the instance, which
-    # hides this property; a full cover lists its masks on the first read.
-    _masks: tuple[int, ...] = cached_property(_full_cover_masks)
 
     def __init__(self, n: int, centers: Iterable[Coalition]) -> None:
         self._hold(n, (c.mask for c in centers))
@@ -77,13 +66,28 @@ class Code:
     def _hold(self, n: int, masks: Iterable[int]) -> Code:
         """Check and keep the centers: the one check of both constructors."""
         _check_players(n, "length")
-        masks = tuple(dict.fromkeys(masks))
-        if not masks:
+        index = dict.fromkeys(masks)
+        if not index:
             raise ValueError("a code needs at least one center")
-        _check_fits(n, masks, "center ")
+        _check_fits(n, index, "center ")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_index", index)
         return self
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The centers in code order: ascending for a full cover (see full_cover)."""
+        if self._index is not None:
+            return tuple(self._index)
+        base = [mask for mask, s in enumerate(self._syndromes) if s == 0]
+        pads = range(0, 1 << self.n, len(self._syndromes))  # subsets after b
+        return tuple(c | pad for pad in pads for c in base)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Code and (self.n, self._masks) == (other.n, other._masks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._masks))
 
     def _nearest(self, x: int) -> int | None:
         """Mask x's nearest center: x if a center, else the smallest at distance 1, else None.
@@ -102,24 +106,21 @@ class Code:
         index = self._index
         if x in index:
             return x
-        return min([x ^ f for f in self._flips[: self.n] if x ^ f in index], default=None)
+        return min([x ^ f for f in _BALL[1 : self.n + 1] if x ^ f in index], default=None)
 
-    def _in_order(self, centers: Iterable[int]) -> list[int]:
+    def _in_order(self, centers: Collection[int]) -> list[int]:
         """Some of the code's centers in code order: ascending for a full cover."""
-        return sorted(centers, key=None if self._syndromes is not None else self._index.get)
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        """Each center's place in a listed code."""
-        return {c: i for i, c in enumerate(self._masks)}
+        if self._index is None:
+            return sorted(centers)
+        return [c for c in self._index if c in centers]
 
     @cached_property
     def centers(self) -> tuple[Coalition, ...]:
         return tuple(map(Coalition, self._masks))
 
     def __len__(self) -> int:
-        if self._syndromes is None:
-            return len(self._masks)
+        if self._index is not None:
+            return len(self._index)
         pads = (1 << self.n) // len(self._syndromes)
         return self._syndromes.count(0) * pads  # codewords times pads
 
@@ -176,7 +177,7 @@ def greedy_cover(n: int, targets: Iterable[Coalition]) -> Code:
     if not target_masks:
         raise ValueError("need at least one target to cover")
     _check_fits(n, target_masks, "target ")
-    ball = [0] + [1 << i for i in range(n)]  # the flips from a mask to its ball
+    ball = _BALL[: n + 1]
     count = bytearray(1 << n)
     for t in target_masks:
         for f in ball:
@@ -223,8 +224,7 @@ def full_cover(n: int) -> Code:
 
 def covering_radius_at_most(code: Code, targets: Iterable[Coalition], r: int) -> bool:
     """True when every target is within distance r of some center."""
-    masks = code._masks
-    return all(any((t.mask ^ c).bit_count() <= r for c in masks) for t in targets)
+    return all(any((t.mask ^ c).bit_count() <= r for c in code._masks) for t in targets)
 
 
 def bounds_report(n: int) -> BoundsReport:

@@ -10,7 +10,7 @@ refused where they enter.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,7 +103,7 @@ def _check_players(n: int, what: str) -> None:
         raise ValueError(f"{what} must be in 1..{MAX_PLAYERS}, got {n}")
 
 
-def _check_fits(n: int, masks: Sequence[int], what: str = "") -> None:
+def _check_fits(n: int, masks: Collection[int], what: str = "") -> None:
     """Refuse the first of the masks that holds a player beyond n."""
     if max(masks, default=0) >> n:
         m = next(m for m in masks if m >> n)

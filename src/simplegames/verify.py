@@ -65,13 +65,13 @@ def _part_losing(part: WeightedGame) -> int:
     """Bit m set iff the members of mask m weigh less than the part's quota.
 
     below(i, x), the masks of players 1..i that weigh less than x, is empty
-    for x <= 0, everything for x above the players' total, and otherwise
+    for x <= 0, everything for x above their total t_i, and otherwise
     below(i - 1, x) | below(i - 1, x - w_i) << 2**(i - 1).  Every x between
-    two subset sums of players 1..i gives the same set, so on the low levels
-    (2i <= n) x is moved up to the next subset sum.  Level i then holds at
-    most min(2**i + 1, 2**(n - i)) states, and each costs 2**i bits.
-    :func:`_parts_losing` ORs these sets when there are few parts, and for
-    a part whose maximal losing masks take too long to list.
+    two subset sums gives the same set, so where 2i <= n and t_i >= 2**i, x
+    is moved up to the next one (a smaller t_i has fewer than 2**i distinct
+    x anyway).  Level i holds at most min(2**i + 1, 2**(n - i)) states of
+    2**i bits.  :func:`_parts_losing` ORs these sets when there are few
+    parts, and for a part whose maximal losing masks take too long to list.
     """
     weights = part.weights
     n = len(weights)

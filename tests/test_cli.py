@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import simplegames
-from helpers import four_player_example, seven_player_example
+from helpers import four_player_example, random_antichain_game, seven_player_example
 from simplegames import (
     Coalition,
     Code,
@@ -150,6 +151,39 @@ def test_decompose_full_code_flag(four_player_file, tmp_path, capsys):
     )
     assert rc == EXIT_OK
     assert "bound: 4 (cover size)" in capsys.readouterr().out
+
+
+def seeded_game(n: int):
+    return random_antichain_game(n, random.Random(n))
+
+
+def middle_layer(n: int):
+    players = range(1, n + 1)
+    return validate_game(n, [Coalition.from_players(c) for c in combinations(players, n // 2)])
+
+
+@pytest.mark.parametrize(
+    "n, build",
+    [pytest.param(n, seeded_game, id=f"seeded-{n}") for n in (1, 2, 5, 8, 9, 13, 16)]
+    + [pytest.param(8, middle_layer, id="C(8,4)")],
+)
+def test_full_code_writes_what_the_cover_full_file_gives(n, build, tmp_path, capsys):
+    # --full-code clusters around the full cover's syndrome table; --cover
+    # lists the same centers from the file that `cover --full n` writes.
+    game, full = tmp_path / "game.json", tmp_path / "full.json"
+    save_game(build(n), game)
+    assert main(["cover", "--full", str(n), "--output", str(full)]) == EXIT_OK
+    capsys.readouterr()
+    runs = []
+    for name, flags in [("file", ["--cover", str(full)]), ("full-code", ["--full-code"])]:
+        out = tmp_path / f"{name}.json"
+        rc = main(["decompose", str(game), "--method", "covering", *flags, "--output", str(out)])
+        runs.append((rc, *capsys.readouterr(), out.read_bytes()))
+        assert main(["verify", str(game), str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("EQUIVALENT (")
+    assert runs[0] == runs[1]
+    rc, stdout, stderr, _ = runs[0]
+    assert (rc, stderr) == (EXIT_OK, "") and "(cover size)" in stdout
 
 
 def test_decompose_rejects_bad_game_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplegames import Coalition, hamming_distance
+from simplegames import Coalition, decompose_covering, hamming_distance, validate_game
 from simplegames.codes import (
     BOUNDS_TABLE_MAX_N,
     BOUNDS_TABLE_MIN_N,
@@ -76,6 +76,20 @@ def test_code_is_immutable_and_builds_its_centers_once():
     assert centers == (Coalition.of(1, 2), Coalition.of(3))
     assert type(centers) is tuple and all(type(c) is Coalition for c in centers)
     assert code.centers is centers
+
+
+def test_a_listed_code_groups_a_family_without_listing_its_masks():
+    # A listed code holds one table, the dict of its centers in code order;
+    # grouping a family reads it and builds neither the mask tuple nor the
+    # coalitions.
+    masks = [0b1110, 0b0111, 0b0001]
+    game = validate_game(4, [Coalition(m) for m in (0b0011, 0b0101, 0b0110, 0b1010, 0b1100)])
+    code = Code._of_masks(4, masks)
+    split = decompose_covering(game, code)
+    assert split == decompose_covering(game, Code(4, [Coalition(m) for m in masks]))
+    assert len(split.parts) == 3
+    assert vars(code).keys() == {"n", "_index"}
+    assert list(code._index) == masks
 
 
 def built(build):
