@@ -13,7 +13,8 @@ from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import MAX_PLAYERS, Coalition, _check_fits, _check_players
+from ._masks import _check_fits, _check_players
+from .core import MAX_PLAYERS, Coalition
 from .errors import MOutOfRange
 
 HAMMING_MIN_M = 2

@@ -6,29 +6,34 @@ by mask value yields the canonical deterministic order used everywhere in
 this package.  Masks, player numbers, player counts and weights must be
 exactly ``int`` (checked as ``type(v) is int``), so bools and floats are
 refused where they enter.
+
+The checks, the coalition formatter and the subset closure behind these
+types are mask-level kernels in ``_masks``; the ``verify`` command calls
+them without loading this module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    AntichainViolation,
-    CapExceeded,
-    EmptyFamily,
-    FullCoalitionLosing,
-    NonMonotoneOracle,
-    PlayerOutOfRange,
+from . import _masks
+from ._masks import (
+    _check_family,
+    _check_fits,
+    _check_part,
+    _check_players,
+    _format,
+    _holders,
+    _players,
+    _subsets,
 )
+from .errors import CapExceeded, NonMonotoneOracle, PlayerOutOfRange
 
-# Single knob for every exhaustive 2**n scan in the package.
-MAX_PLAYERS = 24
-
-# Largest weight or quota a weighted game may hold, and so the largest
-# number the file loader accepts in a decomposition.
-MAX_WEIGHT = 1 << 58
+# The player cap and the weight limit, which the kernels check.
+MAX_PLAYERS = _masks.MAX_PLAYERS
+MAX_WEIGHT = _masks.MAX_WEIGHT
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -59,13 +64,7 @@ class Coalition:
     @property
     def players(self) -> tuple[int, ...]:
         """Members as ascending 1-based player numbers."""
-        out = []
-        rest = self.mask
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length())
-            rest ^= low
-        return tuple(out)
+        return _players(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -86,7 +85,7 @@ class Coalition:
         return Coalition(self.mask & ~other.mask)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(p) for p in self.players) + "}"
+        return _format(self.mask)
 
     def __repr__(self) -> str:
         return f"Coalition.of({', '.join(str(p) for p in self.players)})"
@@ -97,19 +96,6 @@ def full_coalition(n: int) -> Coalition:
     return Coalition((1 << n) - 1)
 
 
-def _check_players(n: int, what: str) -> None:
-    """Refuse a player count (or code length) that is not an int in 1..MAX_PLAYERS."""
-    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
-        raise ValueError(f"{what} must be in 1..{MAX_PLAYERS}, got {n}")
-
-
-def _check_fits(n: int, masks: Collection[int], what: str = "") -> None:
-    """Refuse the first of the masks that holds a player beyond n."""
-    if max(masks, default=0) >> n:
-        m = next(m for m in masks if m >> n)
-        raise PlayerOutOfRange(f"{what}{Coalition(m)} does not fit into {n} players")
-
-
 @dataclass(frozen=True)
 class SimpleGame:
     """A simple game, represented by its family of maximal losing coalitions.
@@ -118,21 +104,21 @@ class SimpleGame:
     losing coalitions, and wins otherwise.  Construct instances through
     :func:`validate_game`, which checks the representation invariants.
     The set of losing coalitions is built on first use, and
-    :func:`validate_game` builds it while checking the game.
+    :func:`validate_game` hands over the one it built while checking the game.
     """
 
     n: int
     maximal_losing: tuple[Coalition, ...]
 
     @cached_property
-    def _down_closure(self) -> tuple[int, int]:
-        """2**n-bit sets: the losing coalitions, and the members strictly inside another."""
+    def _down_closure(self) -> int:
+        """The losing coalitions as a 2**n-bit set."""
         n = self.n
         if n > MAX_PLAYERS:
             raise CapExceeded(f"truth tables need n <= {MAX_PLAYERS}, got {n}")
         masks = [t.mask for t in self.maximal_losing]
         _check_fits(n, masks)
-        return _subsets(n, masks)[:2]
+        return _subsets(n, masks)[0]
 
 
 @dataclass(frozen=True)
@@ -148,13 +134,7 @@ class WeightedGame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
-            raise ValueError("a weighted game needs at least one player")
-        for v in (self.quota, *self.weights):
-            if type(v) is not int or not 0 <= v <= MAX_WEIGHT:
-                raise ValueError(
-                    f"quota and weights must be integers in 0..{MAX_WEIGHT}"
-                )
+        _check_part(self.quota, self.weights)
 
     @property
     def n(self) -> int:
@@ -183,35 +163,6 @@ class Decomposition:
                 )
 
 
-def _holders(n: int, i: int) -> int:
-    """Bits of the masks that hold player i + 1, over whole bytes of masks.
-
-    Below 8 masks (n < 3) the byte also sets bits above 2**n, which is
-    harmless where it is used: ANDed with a set of masks below 2**n, then
-    shifted down.
-    """
-    size = (1 << n) + 7 >> 3
-    if i < 3:
-        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size, "little")
-    run = 1 << i - 3
-    return int.from_bytes((bytes(run) + b"\xff" * run) * (size // (2 * run)), "little")
-
-
-def _subsets(n: int, masks: Iterable[int]) -> tuple[int, int, int]:
-    """Bitsets: every subset of the masks, those strictly inside another, the masks."""
-    marked = bytearray((1 << n) + 7 >> 3)
-    for m in masks:
-        marked[m >> 3] |= 1 << (m & 7)
-    family = closed = int.from_bytes(marked, "little")
-    below = 0
-    for i in range(n):
-        # drop player i + 1 from every subset found so far
-        dropped = (closed & _holders(n, i)) >> (1 << i)
-        closed |= dropped
-        below |= dropped
-    return closed, family & below, family
-
-
 def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
     """Check and canonicalize a family of maximal losing coalitions.
 
@@ -229,17 +180,9 @@ def validate_game(n: int, coalitions: Iterable[Coalition]) -> SimpleGame:
     _check_players(n, "player count")
     given = {c.mask: c for c in coalitions}
     masks = sorted(given)
-    _check_fits(n, masks, "coalition ")
-    if (1 << n) - 1 in given:
-        raise FullCoalitionLosing(f"the grand coalition of all {n} players must win")
-    if not masks:
-        raise EmptyFamily("a game needs at least one losing coalition")
+    losing = _check_family(n, masks, given.__getitem__)
     game = SimpleGame(n, tuple(given[m] for m in masks))
-    inside = game._down_closure[1]
-    if inside:
-        small = (inside & -inside).bit_length() - 1
-        large = next(m for m in masks if m & small == small != m)
-        raise AntichainViolation(given[small], given[large])
+    object.__setattr__(game, "_down_closure", losing)  # fills the cached property
     return game
 
 

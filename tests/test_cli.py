@@ -290,16 +290,16 @@ def test_decompose_output_is_deterministic(four_player_file, tmp_path):
 
 @pytest.fixture
 def closure_builds(monkeypatch):
-    """How often the down-closure of a game (core._subsets) is built."""
-    core = importlib.import_module("simplegames.core")
-    subsets = core._subsets
+    """How often the down-closure of a game (_masks._subsets) is built."""
+    masks = importlib.import_module("simplegames._masks")
+    subsets = masks._subsets
     calls = []
 
     def counted(*args):
         calls.append(args[0])
         return subsets(*args)
 
-    monkeypatch.setattr(core, "_subsets", counted)
+    monkeypatch.setattr(masks, "_subsets", counted)
     return calls
 
 
@@ -432,6 +432,24 @@ def test_verify_rejects_player_count_mismatch(four_player_file, seven_player_fil
     dec = tmp_path / "dec.json"
     main(["decompose", str(seven_player_file), "--method", "pairing", "--output", str(dec)])
     assert main(["verify", str(four_player_file), str(dec)]) == EXIT_INPUT
+
+
+def test_verify_names_both_player_counts(four_player_file, tmp_path, capsys):
+    dec = tmp_path / "dec.json"
+    dec.write_text(
+        json.dumps(
+            {
+                "n": 3,
+                "method": "pairing",
+                "part_count": 1,
+                "parts": [{"quota": 2, "weights": [1, 1, 1]}],
+            }
+        )
+    )
+    assert main(["verify", str(four_player_file), str(dec)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: game has 4 players but decomposition has 3\n"
 
 
 def test_verify_rejects_inconsistent_part_count(four_player_file, tmp_path):

@@ -120,14 +120,21 @@ def test_public_names_load_on_first_use():
 
 
 def test_verify_does_not_import_decompose():
-    # verify is the independent oracle for every decomposition.
-    source = Path(simplegames.__file__).with_name("verify.py").read_text()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            assert "decompose" not in (node.module or "")
-            assert all("decompose" not in a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            assert all("decompose" not in a.name for a in node.names)
+    # verify is the independent oracle for every decomposition.  The kernels
+    # under it, which the verify command runs on its own, also stay clear of
+    # the covering codes and of the dataclasses in core.
+    package = Path(simplegames.__file__).parent
+    kernel = ("decompose", "codes", "core", "dataclasses")
+    forbidden = {"verify.py": ("decompose",), "_losing.py": kernel, "_masks.py": kernel}
+    for name, words in forbidden.items():
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            else:
+                continue
+            assert not [m for m in imported for w in words if w in m], (name, imported)
 
 
 def test_traced_names_are_module_level_functions():
@@ -165,6 +172,7 @@ def test_cli_looks_library_functions_up_when_it_calls_them(tmp_path, monkeypatch
 
     count("verify", "verify_decomposition")
     count("decompose", "taylor_zwicker")
+    count("_losing", "_parts_losing")
     game, dec = tmp_path / "game.json", tmp_path / "tz.json"
     game.write_text(json.dumps({"n": 3, "maximal_losing": [[1, 2], [3]]}))
     argv = ["decompose", str(game), "--method", "taylor-zwicker", "--output", str(dec)]
@@ -172,13 +180,17 @@ def test_cli_looks_library_functions_up_when_it_calls_them(tmp_path, monkeypatch
         assert main(argv) == 0
         assert calls == ["taylor_zwicker", "verify_decomposition"]
         assert main(["verify", str(game), str(dec)]) == 0
-    assert calls == ["taylor_zwicker", "verify_decomposition", "verify_decomposition"]
+    # the verify command runs the kernel under verify_decomposition itself
+    assert calls == ["taylor_zwicker", "verify_decomposition", "_parts_losing"]
 
 
 def test_tests_import_only_public_names_from_the_library():
     # An oracle that imports a private helper changes along with the code
     # it checks.  Test modules take public names and upper-case constants.
-    restricted = {f"simplegames.{m}" for m in ("core", "codes", "decompose", "verify")}
+    restricted = {
+        f"simplegames.{m}"
+        for m in ("core", "codes", "decompose", "verify", "_losing", "_masks")
+    }
     allowed = set(simplegames.__all__)
     offenders = []
     for path in sorted(Path(__file__).parent.glob("*.py")):
@@ -310,7 +322,7 @@ def test_decompose_and_verify_leave_exact_arithmetic_unloaded(tmp_path):
 
 # Imports the package (argv[1] is null) or the CLI, runs the command line given
 # as JSON in argv[1] if any, and prints on its last line which simplegames
-# modules are loaded and whether typing is.
+# modules are loaded and which of typing, dataclasses and inspect are.
 MODULES_LOADED = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -321,12 +333,13 @@ else:
     if argv:
         main(argv)
 loaded = sorted(m for m in sys.modules if m.startswith("simplegames."))
-print(json.dumps([[m.split(".")[1] for m in loaded], "typing" in sys.modules]))
+heavy = [m for m in ("typing", "dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([[m.split(".")[1] for m in loaded], heavy]))
 """
 
 
 def loaded_modules(argv: list[str] | None) -> list:
-    # -S skips site, whose .pth files may import typing of their own.
+    # -S skips site, whose .pth files may import modules of their own.
     child = subprocess.run(
         [sys.executable, "-S", "-c", MODULES_LOADED, json.dumps(argv)],
         env=dict(os.environ, PYTHONPATH=str(Path(simplegames.__file__).parents[1])),
@@ -338,20 +351,22 @@ def loaded_modules(argv: list[str] | None) -> list:
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    assert loaded_modules(None) == [[], False]
-    assert loaded_modules([]) == [["cli", "core", "errors"], False]
+    assert loaded_modules(None) == [[], []]
+    assert loaded_modules([]) == [["_masks", "cli", "errors"], []]
     # Keyed by command, and for decompose by method: only covering needs codes.
+    # verify runs on masks, without the dataclasses of core and verify.
     runs = {
-        "bounds": ["cli", "codes", "core", "errors"],
-        "cover": ["cli", "codes", "core", "errors"],
-        "covering": ["cli", "codes", "core", "decompose", "errors", "verify"],
-        "pairing": ["cli", "core", "decompose", "errors", "verify"],
-        "taylor-zwicker": ["cli", "core", "decompose", "errors", "verify"],
-        "verify": ["cli", "core", "errors", "verify"],
+        "bounds": ["_masks", "cli", "codes", "core", "errors"],
+        "cover": ["_masks", "cli", "codes", "core", "errors"],
+        "covering": ["_losing", "_masks", "cli", "codes", "core", "decompose", "errors", "verify"],
+        "pairing": ["_losing", "_masks", "cli", "core", "decompose", "errors", "verify"],
+        "taylor-zwicker": ["_losing", "_masks", "cli", "core", "decompose", "errors", "verify"],
+        "verify": ["_losing", "_masks", "cli", "errors"],
     }
     for argv in cli_commands(tmp_path / "work"):
         key = argv[3] if argv[0] == "decompose" else argv[0]
-        assert loaded_modules(argv) == [runs[key], False], argv
+        heavy = [] if key == "verify" else ["dataclasses", "inspect"]
+        assert loaded_modules(argv) == [runs[key], heavy], argv
 
 
 def test_numpy_is_imported_only_by_the_table_adapter():

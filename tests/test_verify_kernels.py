@@ -3,8 +3,8 @@
 The oracles below are earlier implementations: one fancy-indexed zeta pass
 per player and one full 2**n sum array per weighted part, and the chunked
 meet-in-the-middle tables that verify used before its losing sets became
-2**n-bit integers.  The kernels in ``simplegames.verify`` must reproduce
-them bit for bit, and ``verify_decomposition`` must report the same
+2**n-bit integers.  The tables of ``simplegames.verify`` and the part
+kernels of ``simplegames._losing`` under them must reproduce them bit for bit, and ``verify_decomposition`` must report the same
 smallest mismatch.  Past 8 * n parts verify closes the parts' maximal
 losing masks instead; the per-part memo kernel is the oracle there.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplegames import core, verify
+from simplegames import _losing, _masks, verify
 from simplegames.core import (
     MAX_PLAYERS,
     MAX_WEIGHT,
@@ -26,6 +26,21 @@ from simplegames.core import (
     WeightedGame,
 )
 from simplegames.errors import CapExceeded
+
+
+# ------------------------------------------- the part kernels on WeightedGame
+
+
+def part_losing(part: WeightedGame) -> int:
+    return _losing._part_losing(part.quota, part.weights)
+
+
+def maximal_losing(part: WeightedGame, budget: int) -> list[int] | None:
+    return _losing._maximal_losing(part.quota, part.weights, budget)
+
+
+def parts_losing(n: int, parts: tuple[WeightedGame, ...]) -> int:
+    return _losing._parts_losing(n, [(p.quota, p.weights) for p in parts])
 
 
 # -------------------------------------------------------------------- oracles
@@ -209,8 +224,8 @@ def test_weighted_game_table_matches_oracle(parts):
     table = verify.weighted_game_table(wg)
     assert table.dtype == bool and table.shape == (1 << wg.n,)
     assert np.array_equal(table, oracle_weighted_game_table(wg))
-    closed = core._subsets(wg.n, verify._maximal_losing(wg, 1 << 62))[0]
-    assert closed == verify._part_losing(wg)
+    closed = _masks._subsets(wg.n, maximal_losing(wg, 1 << 62))[0]
+    assert closed == part_losing(wg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,9 +360,9 @@ def enumerated_cases():
 def test_maximal_losing_masks_close_to_the_memo_kernel(budget):
     for part in enumerated_cases():
         n = part.n
-        losing = verify._part_losing(part)
-        everything = verify._maximal_losing(part, 1 << 62)
-        found = verify._maximal_losing(part, budget or 1 << 62)
+        losing = part_losing(part)
+        everything = maximal_losing(part, 1 << 62)
+        found = maximal_losing(part, budget or 1 << 62)
         if found is None:
             # over budget is a refusal, never a shorter list
             assert budget is not None
@@ -359,35 +374,35 @@ def test_maximal_losing_masks_close_to_the_memo_kernel(budget):
             for i in range(n):
                 if not m >> i & 1:
                     assert not losing >> (m | 1 << i) & 1, (part, m, i)
-        assert core._subsets(n, found)[0] == losing, part
+        assert _masks._subsets(n, found)[0] == losing, part
 
 
 def test_maximal_losing_of_edge_quotas():
     weights = (0, 3, 5, 0, 9)
-    assert verify._maximal_losing(WeightedGame(0, weights), 1) == []
+    assert maximal_losing(WeightedGame(0, weights), 1) == []
     # nothing reaches a quota above the total: the grand coalition loses
-    assert verify._maximal_losing(WeightedGame(18, weights), 1) == [0b11111]
+    assert maximal_losing(WeightedGame(18, weights), 1) == [0b11111]
     # the players of weight 0 in every one, player 5 (weight 9 >= 8) in none
-    assert sorted(verify._maximal_losing(WeightedGame(8, weights), 99)) == [0b01011, 0b01101]
-    assert verify._maximal_losing(WeightedGame(9, weights), 99) == [0b01111]
+    assert sorted(maximal_losing(WeightedGame(8, weights), 99)) == [0b01011, 0b01101]
+    assert maximal_losing(WeightedGame(9, weights), 99) == [0b01111]
     # a taylor-zwicker part needs no search; two players of weight 1 under
     # quota 2 take four search nodes
-    assert verify._maximal_losing(WeightedGame(1, (0, 1, 0)), 0) == [0b101]
-    assert sorted(verify._maximal_losing(WeightedGame(2, (1, 1)), 4)) == [0b01, 0b10]
-    assert verify._maximal_losing(WeightedGame(2, (1, 1)), 3) is None
+    assert maximal_losing(WeightedGame(1, (0, 1, 0)), 0) == [0b101]
+    assert sorted(maximal_losing(WeightedGame(2, (1, 1)), 4)) == [0b01, 0b10]
+    assert maximal_losing(WeightedGame(2, (1, 1)), 3) is None
 
 
 @pytest.fixture
 def closure_calls(monkeypatch):
     """The player counts of the closures _parts_losing builds."""
-    subsets = verify._subsets
+    subsets = _losing._subsets
     calls = []
 
     def counted(n, masks):
         calls.append(n)
         return subsets(n, masks)
 
-    monkeypatch.setattr(verify, "_subsets", counted)
+    monkeypatch.setattr(_losing, "_subsets", counted)
     return calls
 
 
@@ -405,14 +420,14 @@ def test_parts_losing_on_both_sides_of_the_crossover(n, closure_calls):
         chosen = parts[-count:]
         expected = 0
         for part in chosen:
-            expected |= verify._part_losing(part)
-        assert verify._parts_losing(n, chosen) == expected
+            expected |= part_losing(part)
+        assert parts_losing(n, chosen) == expected
     assert closure_calls == [n]
     # at n=12 the C(12, 5) maximal losing masks of the majority are over
     # budget, and its set comes from the memo kernel
-    assert (verify._maximal_losing(majority, 32 * n) is None) == (n == 12)
+    assert (maximal_losing(majority, 32 * n) is None) == (n == 12)
     many = (majority,) * (8 * n + 1)
-    assert verify._parts_losing(n, many) == verify._part_losing(majority)
+    assert parts_losing(n, many) == part_losing(majority)
 
 
 def dropped_copies(dec: Decomposition, rng: random.Random):
