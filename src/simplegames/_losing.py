@@ -123,9 +123,9 @@ def _parts_losing(n: int, parts: Sequence[Part]) -> int:
     through :func:`_part_losing` instead, so hostile parts cost at most
     that much more.  The parts the tool writes list one mask per member of
     their game.  On taylor-zwicker parts (2 CPUs, Python 3.11) the closure
-    was faster from about 10 parts at n=12..14, 60 at n=18, 100-140 at
-    n=20 and 100-250 at n=22..24.  At n=24, the 14 402 to 20 000 parts of
-    20 000 coalitions take 0.3-0.4 s this way and 13-21 s part by part.
+    is faster from about 2-4 parts at n=12, 20-30 at n=18 and 160-190 at
+    n=24.  At n=24, the 14 402 to 20 000 parts of 20 000 coalitions take
+    0.3-0.4 s this way and 13-21 s part by part.
     """
     closure = len(parts) > 8 * n
     losing = 0

@@ -232,8 +232,8 @@ def derive_maximal_losing(
         # per player i, the winners without i that lose once i joins
         m, i = min(
             ((w & -w).bit_length() - 1, i)
-            for i in range(n)
-            if (w := family >> (1 << i) & ~family & ~_holders(n, i))
+            for i, holders in _holders(n)
+            if (w := family >> (1 << i) & ~family & ~holders)
         )
         raise NonMonotoneOracle(Coalition(m), Coalition(m | 1 << i))
     maximal = bin(family & ~inside)[:1:-1]

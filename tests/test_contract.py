@@ -1,6 +1,7 @@
 """Guards on the public contract: the exported names, verify's independence,
 the functions the benchmark tracer wraps, the library names tests import,
-a command line that runs without numpy, and the modules each command loads."""
+a command line that runs without numpy, the modules each command loads, and
+the recorded digests of every command's output on a fixed corpus."""
 
 import ast
 import contextlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy  # noqa: F401  (loaded for the in-process run to compare with)
 import pytest
 
+import record_contract_digests as contract
 import simplegames
 from simplegames.cli import main
 
@@ -383,3 +385,14 @@ def test_numpy_is_imported_only_by_the_table_adapter():
                 if any(m.split(".")[0] == "numpy" for m in modules):
                     importers.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
     assert importers == ["verify._winning_table"]
+
+
+def test_every_command_output_matches_its_recorded_digest(tmp_path):
+    # A difference is a change to the command line's contract: rerun
+    # tests/record_contract_digests.py and name each changed job in CHANGES.md.
+    recorded = json.loads(contract.TABLE.read_text())
+    found = contract.run_corpus(tmp_path)
+    assert contract.differences(found, recorded) == []
+    assert {entry["exit"] for entry in found.values()} == {0, 1, 3}
+    found["bounds 9"]["stdout"] = contract.sha(b"")
+    assert contract.differences(found, recorded) == ["bounds 9: stdout differ"]

@@ -16,9 +16,10 @@ a fixed memory margin of a command that loads the package and does nothing
 else.  Writing the full-cube cover of 22 players and decomposing 40 random
 coalitions of 11 out of 22 players around that file, decomposing 40 and 20 000
 random coalitions of 12 out of 24 players around the full-cube cover and
-around the greedy cover, verifying five n=24 parts with random heavy
-weights, and deriving the maximal losing coalitions of the 20-player
-majority game each stay under a fixed peak.
+around the greedy cover, verifying the taylor-zwicker file of the 20 000,
+verifying five n=24 parts with random heavy weights, and deriving the
+maximal losing coalitions of the 20-player majority game each stay under a
+fixed peak.
 """
 
 import hashlib
@@ -246,6 +247,22 @@ def test_greedy_covering_decomposition_at_24_stays_under_a_fixed_peak(tmp_path, 
     peak = cli_max_rss_mib(*argv, cwd=tmp_path)
     assert json.loads((tmp_path / "dec.json").read_text())["n"] == 24
     assert peak < GREEDY_24_MAX_MIB[size]
+
+
+# Peak RSS of `verify` on the taylor-zwicker file of 20 000 random coalitions
+# of 12 out of 24 players, in MiB: about 50 MiB when each pass of the closure
+# built its holder mask from bytes, about 49 MiB with each mask taken from
+# the last one and the byte table of the game freed before the passes.
+VERIFY_24_20000_MAX_MIB = 64
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_verify_of_20000_parts_at_24_stays_under_a_fixed_peak(tmp_path):
+    game = write_random_layer_game(tmp_path / "game.json", 20_000, seed=24)
+    argv = ["decompose", str(game), "--method", "taylor-zwicker", "--output", "tz.json"]
+    cli_max_rss_mib(*argv, cwd=tmp_path)
+    peak = cli_max_rss_mib("verify", str(game), "tz.json", cwd=tmp_path)
+    assert peak < VERIFY_24_20000_MAX_MIB
 
 
 # Peak RSS of derive_maximal_losing on the 20-player majority game, in MiB:

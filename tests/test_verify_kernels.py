@@ -7,6 +7,8 @@ meet-in-the-middle tables that verify used before its losing sets became
 kernels of ``simplegames._losing`` under them must reproduce them bit for bit, and ``verify_decomposition`` must report the same
 smallest mismatch.  Past 8 * n parts verify closes the parts' maximal
 losing masks instead; the per-part memo kernel is the oracle there.
+That closure's holder masks must equal the byte patterns they replaced,
+and the closure itself every submask of the masks, counted one by one.
 """
 
 import random
@@ -457,3 +459,72 @@ def test_many_part_dropped_copies_report_the_same_mismatch(n, closure_calls):
             assert report.first_mismatch == expected
             assert not report.equivalent
     assert set(closure_calls) == {n}
+
+
+# ------------------------------------------------- the 2**n-bit down-closure
+
+
+def oracle_holders(n: int, i: int) -> int:
+    """Bits of the masks that hold player i + 1, built from byte patterns.
+
+    Below 8 masks (n < 3) the byte also sets bits above 2**n.
+    """
+    size = (1 << n) + 7 >> 3
+    if i < 3:
+        return int.from_bytes(bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size, "little")
+    run = 1 << i - 3
+    return int.from_bytes((bytes(run) + b"\xff" * run) * (size // (2 * run)), "little")
+
+
+def check_holders(n: int, players) -> None:
+    cube = (1 << (1 << n)) - 1
+    masks = list(_masks._holders(n))
+    assert [i for i, _ in masks] == list(range(n - 1, -1, -1))
+    for i, bits in masks:
+        assert bits <= cube, (n, i)
+        if i in players:
+            assert bits == oracle_holders(n, i) & cube, (n, i)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_holders_match_the_byte_patterns(n):
+    check_holders(n, range(n))
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_wide_holders_match_the_byte_patterns(n):
+    check_holders(n, {0, 1, 2, 3, n - 1})
+
+
+def oracle_subsets(masks: list[int]) -> tuple[int, int, int]:
+    """Every submask of every mask, the members strictly inside another, the members."""
+    closed = family = inside = 0
+    for m in masks:
+        family |= 1 << m
+        sub = m
+        while True:
+            closed |= 1 << sub
+            if not sub:
+                break
+            sub = sub - 1 & m
+        if any(m & o == m != o for o in masks):
+            inside |= 1 << m
+    return closed, inside, family
+
+
+@st.composite
+def mask_lists(draw) -> tuple[int, list[int]]:
+    """A player count and any masks: none, the empty mask, the full one, repeats."""
+    n = draw(st.integers(1, 12))
+    mask = st.integers(0, (1 << n) - 1) | st.sampled_from([0, (1 << n) - 1])
+    masks = draw(st.lists(mask, max_size=30))
+    if masks:
+        masks += draw(st.lists(st.sampled_from(masks), max_size=10))
+    return n, masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_lists())
+def test_subsets_match_the_brute_force_closure(case):
+    n, masks = case
+    assert _masks._subsets(n, masks) == oracle_subsets(masks)
