@@ -56,13 +56,14 @@ def _check_fits(n: int, masks: Collection[int], what: str = "") -> None:
         raise PlayerOutOfRange(f"{what}{_format(m)} does not fit into {n} players")
 
 
-def _check_part(quota: int, weights: tuple[int, ...]) -> None:
+def _check_part(quota: int, weights: Sequence[int]) -> tuple[int, Sequence[int]]:
     """Refuse a weighted game without players or with a value outside 0..MAX_WEIGHT."""
     if not weights:
         raise ValueError("a weighted game needs at least one player")
     for v in (quota, *weights):
         if type(v) is not int or not 0 <= v <= MAX_WEIGHT:
             raise ValueError(f"quota and weights must be integers in 0..{MAX_WEIGHT}")
+    return quota, weights
 
 
 def _holders(n: int) -> Iterator[tuple[int, int]]:

@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 
 from ._masks import _check_family, _check_part, _check_players, _format
@@ -29,6 +30,7 @@ from .errors import GameError
 # verify child at n=19 takes 44 ms of CPU instead of 56 (2 CPUs, Python 3.11).
 TYPE_CHECKING = False  # type checkers take it as True; typing stays unloaded
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from typing import NoReturn
 
     from .codes import Code
@@ -46,6 +48,9 @@ METHODS = ("taylor-zwicker", "covering", "pairing")
 
 
 def _load_json(path: str) -> dict:
+    # A device is refused unread: /dev/zero would be read until memory runs out.
+    if stat.S_ISCHR(mode := os.stat(path).st_mode) or stat.S_ISBLK(mode):
+        raise ValueError(f"{path}: not a file")
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -114,17 +119,17 @@ def _mask_list(data: dict, key: str, path: str, n: int) -> list[int]:
     return out
 
 
-def _read_game(path: str) -> tuple[int, list[int]]:
-    """The player count of a game file and its maximal losing masks, as listed."""
+def _read_masks(path: str, key: str) -> tuple[int, list[int]]:
+    """The player count of a game or code file and its masks under key, as listed."""
     data = _load_json(path)
     n = _player_count(data, path)
-    return n, _mask_list(data, "maximal_losing", path, n)
+    return n, _mask_list(data, key, path, n)
 
 
 def load_game(path: str) -> SimpleGame:
     from .core import Coalition, validate_game
 
-    n, masks = _read_game(path)
+    n, masks = _read_masks(path, "maximal_losing")
     return validate_game(n, map(Coalition, masks))
 
 
@@ -135,17 +140,15 @@ def save_game(game: SimpleGame, path: str) -> None:
 def load_code(path: str) -> Code:
     from .codes import Code
 
-    data = _load_json(path)
-    n = _player_count(data, path)
-    return Code._of_masks(n, _mask_list(data, "centers", path, n))
+    return Code._of_masks(*_read_masks(path, "centers"))
 
 
 def save_code(code: Code, path: str) -> None:
     _save_masks(path, code.n, "centers", code._masks)
 
 
-def _read_parts(path: str) -> tuple[int, list[tuple[int, list[int]]]]:
-    """The player count of a decomposition file and its checked (quota, weights) pairs."""
+def _read_parts(path: str, part: Callable[[int, list[int]], object]) -> tuple[int, list]:
+    """A decomposition file's player count and its entries, checked by part(quota, weights)."""
     data = _load_json(path)
     n = _player_count(data, path)
     raw_parts = data.get("parts")
@@ -161,17 +164,15 @@ def _read_parts(path: str) -> tuple[int, list[tuple[int, list[int]]]]:
         weights = entry.get("weights")
         if not isinstance(weights, list) or len(weights) != n:
             raise ValueError(f"{path}: each part needs exactly {n} weights")
-        quota = entry.get("quota")
-        _check_part(quota, weights)
-        parts.append((quota, weights))
+        parts.append(part(entry.get("quota"), weights))
     return n, parts
 
 
 def load_decomposition(path: str) -> Decomposition:
     from .core import Decomposition, WeightedGame
 
-    n, parts = _read_parts(path)
-    return Decomposition(n, tuple(WeightedGame(q, w) for q, w in parts))
+    n, parts = _read_parts(path, WeightedGame)
+    return Decomposition(n, tuple(parts))
 
 
 def save_decomposition(dec: Decomposition, method: str, path: str) -> None:
@@ -278,9 +279,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # (quota, weights) pairs: the same checks, messages and result.
     from ._losing import _check_dimension, _parts_losing
 
-    n, masks = _read_game(args.game)
+    n, masks = _read_masks(args.game, "maximal_losing")
     losing = _check_family(n, sorted(set(masks)))
-    parts_n, parts = _read_parts(args.decomposition)
+    parts_n, parts = _read_parts(args.decomposition, _check_part)
     _check_dimension(n, parts_n)
     diff = losing ^ _parts_losing(n, parts)
     if not diff:

@@ -328,6 +328,28 @@ def test_decompose_and_verify_build_the_closure_once(
     assert closure_builds == [7, 7]
 
 
+def test_each_part_value_is_checked_once(four_player_file, tmp_path, monkeypatch):
+    # The file reader builds each part with the check it is given, so the
+    # loader's WeightedGame and the verify command each check a part once.
+    dec = tmp_path / "dec.json"
+    values = [(2, (1, 1, 0, 0)), (2, (0, 0, 1, 1)), (0, (1, 1, 1, 1))]
+    parts = tuple(WeightedGame(q, w) for q, w in values)
+    save_decomposition(Decomposition(4, parts), "covering", dec)
+    calls = []
+    for name in ("simplegames.core", "simplegames.cli"):
+        module = importlib.import_module(name)
+
+        def counted(quota, weights, check=module._check_part):
+            calls.append(quota)
+            return check(quota, weights)
+
+        monkeypatch.setattr(module, "_check_part", counted)
+    assert load_decomposition(dec).parts == parts
+    assert calls == [2, 2, 0]
+    assert main(["verify", str(four_player_file), str(dec)]) == EXIT_MISMATCH
+    assert calls == [2, 2, 0] * 2
+
+
 # -------------------------------------------------------------------- cover
 
 
@@ -643,11 +665,21 @@ def test_usage_errors_exit_one(capsys):
 # ------------------------------------------------------- process entry point
 
 
-def run_child(*argv: str, cwd: Path, stdout=subprocess.PIPE, **env: str):
-    """Run ``python -m simplegames.cli *argv`` with stdout block-buffered."""
+def run_child(*argv: str, cwd: Path, stdout=subprocess.PIPE, limits=None, **env: str):
+    """Run ``python -m simplegames.cli *argv`` with stdout block-buffered.
+
+    limits, if given, is (seconds, bytes of address space) for the child.
+    """
     src = str(Path(simplegames.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    timeout, space = limits or (None, None)
+
+    def limit_space():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (space, space))
+
     return subprocess.run(
         [sys.executable, "-m", "simplegames.cli", *argv],
         cwd=cwd,
@@ -655,6 +687,8 @@ def run_child(*argv: str, cwd: Path, stdout=subprocess.PIPE, **env: str):
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
+        timeout=timeout,
+        preexec_fn=limit_space if limits else None,
     )
 
 
@@ -730,6 +764,30 @@ def test_process_unbuffered_write_failure_is_an_input_error(tmp_path):
         child = run_child("bounds", "12", cwd=tmp_path, stdout=full, PYTHONUNBUFFERED="1")
     assert child.returncode == EXIT_INPUT
     assert child.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "/dev/zero", "GAME"],
+        ["verify", "GAME", "/dev/zero"],
+        ["decompose", "/dev/zero", "--method", "pairing"],
+        ["cover", "/dev/zero"],
+        ["decompose", "GAME", "--method", "covering", "--cover", "/dev/zero"],
+    ],
+    ids=["verify-game", "verify-decomposition", "decompose", "cover", "decompose-cover"],
+)
+def test_process_device_input_is_one_error_line(four_player_file, tmp_path, argv):
+    # A device is refused before it is read: /dev/zero never ends.  The
+    # limits make a child that reads it fail the test, not exhaust memory.
+    argv = [str(four_player_file) if a == "GAME" else a for a in argv]
+    if argv[0] != "verify":
+        argv += ["--output", "out.json"]
+    child = run_child(*argv, cwd=tmp_path, limits=(30, 512 << 20))
+    assert (child.returncode, child.stdout) == (EXIT_INPUT, "")
+    assert child.stderr == "error: /dev/zero: not a file\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def cyclic_garbage(argv: list[str]) -> int:
